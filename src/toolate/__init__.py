@@ -5,7 +5,6 @@ superposed, then complete the measurement and study what the ordering
 reversal does to the correlations.
 """
 
-from ._kernels import active_backend
 from ._version import __version__
 from .audit import (
     VerificationReport,
@@ -21,7 +20,6 @@ from .experiments import (
     EstimateTable,
     ExperimentConfig,
     chi_square,
-    iter_records,
     run_epr,
     run_erasure,
     run_interference,

@@ -1,21 +1,13 @@
-"""Batch Monte Carlo kernels with numba and pure-numpy backends.
+"""Batch Monte Carlo kernels, vectorized over trials with numpy.
 
-The trial loops are the only hot code in the package.  Both backends
-implement the exact counter-based stream of ``rng`` on uint64, so for a
-given master seed the outcome arrays are bit-identical whichever
-backend runs, at any thread count.
-
-Backend selection: the ``TOOLATE_BACKEND`` environment variable may be
-``auto`` (default: numba when importable), ``numba``, or ``numpy``; the
-``backend=`` argument overrides per call.  ``TOOLATE_THREADS`` caps the
-thread count used to chunk large numba runs (kernels release the GIL;
-chunks write disjoint slices, so threading never changes results).
+The trial loops are the only hot code in the package.  They implement
+the exact counter-based stream of ``rng`` on uint64: trial i's k-th
+uniform is a pure function of (master seed, i, k), so the outcome
+arrays are bit-identical to the scalar ``rng`` route and independent of
+how the trials are batched.
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,52 +19,6 @@ _GOLD = U64(GOLDEN)
 _M1 = U64(0xBF58476D1CE4E5B9)
 _M2 = U64(0x94D049BB133111EB)
 _INV53 = 1.0 / 9007199254740992.0
-_THREAD_MIN_TRIALS = 65536
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba present in the dev environment
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-def _env_backend() -> str:
-    value = os.environ.get("TOOLATE_BACKEND", "auto").strip().lower()
-    if value not in ("auto", "numba", "numpy"):
-        raise ValueError(f"TOOLATE_BACKEND must be auto/numba/numpy, got {value!r}")
-    return value
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    choice = backend if backend is not None else _env_backend()
-    choice = choice.strip().lower()
-    if choice == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    if choice == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    if choice not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {choice!r}")
-    return choice
-
-
-def active_backend() -> str:
-    return resolve_backend(None)
-
-
-def thread_count() -> int:
-    cap = os.environ.get("TOOLATE_THREADS")
-    cpus = os.cpu_count() or 1
-    limit = min(4, cpus)
-    if cap is not None:
-        limit = max(1, min(limit, int(cap)))
-    return limit
 
 
 def cumulative(probs: np.ndarray) -> np.ndarray:
@@ -87,101 +33,37 @@ def cumulative(probs: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(cum)
 
 
-# --- uint64 stream arithmetic, numpy flavor (vectorized) ---------------------
+# --- uint64 stream arithmetic -------------------------------------------------
 
 
-def _mix_np(z: np.ndarray) -> np.ndarray:
+def _mix(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> U64(30))) * _M1
     z = (z ^ (z >> U64(27))) * _M2
     return z ^ (z >> U64(31))
 
 
-def _seeds_np(master: int, start: int, stop: int) -> np.ndarray:
-    ids = np.arange(start, stop, dtype=np.uint64)
-    return _mix_np(U64(master & _MASK64) + (ids + U64(1)) * _GOLD)
+def _seeds(master: int, trials: int) -> np.ndarray:
+    ids = np.arange(trials, dtype=np.uint64)
+    return _mix(U64(master & _MASK64) + (ids + U64(1)) * _GOLD)
 
 
 def trial_seeds(master: int, trials: int) -> np.ndarray:
     """uint64 per-trial seeds, identical to rng.trial_seed."""
-    return _seeds_np(master, 0, trials)
+    return _seeds(master, trials)
 
 
-def _uniform_np(seeds: np.ndarray, draw: int) -> np.ndarray:
+def _uniform(seeds: np.ndarray, draw: int) -> np.ndarray:
     # the draw offset is composed with Python ints: numpy warns on
     # scalar uint64 wraparound even though the result is well defined
     offset = U64(((draw + 1) * GOLDEN) & _MASK64)
-    z = _mix_np(seeds + offset)
+    z = _mix(seeds + offset)
     return (z >> U64(11)) * _INV53
-
-
-# --- uint64 stream arithmetic, numba flavor (scalar) --------------------------
-
-
-@njit(cache=True, nogil=True)
-def _mix_nb(z):
-    z = (z ^ (z >> U64(30))) * _M1
-    z = (z ^ (z >> U64(27))) * _M2
-    return z ^ (z >> U64(31))
-
-
-@njit(cache=True, nogil=True)
-def _uniform_nb(seed, draw):
-    return (_mix_nb(seed + (draw + U64(1)) * _GOLD) >> U64(11)) * _INV53
-
-
-@njit(cache=True, nogil=True)
-def _categorical_chunk_nb(cum, master, start, stop, counts):
-    rows = cum.shape[0]
-    for r in range(rows):
-        row_seed = _mix_nb(master + (U64(r) + U64(1)) * _GOLD)
-        for i in range(start, stop):
-            seed = _mix_nb(row_seed + (U64(i) + U64(1)) * _GOLD)
-            u = _uniform_nb(seed, U64(0))
-            j = 0
-            while cum[r, j] <= u:
-                j += 1
-            counts[r, j] += 1
-
-
-@njit(cache=True, nogil=True)
-def _protocol_chunk_nb(cum_va, cum_vb, cum_ea, cum_eb, master, start, stop, out):
-    for i in range(start, stop):
-        seed = _mix_nb(master + (U64(i) + U64(1)) * _GOLD)
-        u = _uniform_nb(seed, U64(0))
-        va = 0
-        while cum_va[va] <= u:
-            va += 1
-        u = _uniform_nb(seed, U64(1))
-        vb = 0
-        while cum_vb[va, vb] <= u:
-            vb += 1
-        u = _uniform_nb(seed, U64(2))
-        ea = 0
-        while cum_ea[va, vb, ea] <= u:
-            ea += 1
-        u = _uniform_nb(seed, U64(3))
-        eb = 0
-        while cum_eb[va, vb, ea, eb] <= u:
-            eb += 1
-        out[i, 0] = va
-        out[i, 1] = vb
-        out[i, 2] = ea
-        out[i, 3] = eb
-
-
-def _chunks(trials: int, threads: int) -> list[tuple[int, int]]:
-    if threads <= 1 or trials < _THREAD_MIN_TRIALS:
-        return [(0, trials)]
-    step = -(-trials // threads)
-    return [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
 
 
 # --- public entry points -------------------------------------------------------
 
 
-def categorical_counts(
-    cum_rows: np.ndarray, master_seed: int, trials: int, backend: str | None = None
-) -> np.ndarray:
+def categorical_counts(cum_rows: np.ndarray, master_seed: int, trials: int) -> np.ndarray:
     """Outcome counts for independent categorical rows.
 
     Row r, trial i draws one uniform from the stream seeded by
@@ -192,30 +74,10 @@ def categorical_counts(
     if cum.ndim != 2:
         raise ValueError("cum_rows must be 2-D")
     master_seed = int(master_seed) & _MASK64
-    which = resolve_backend(backend)
-    if which == "numba":
-        parts = []
-        spans = _chunks(trials, thread_count())
-        if len(spans) == 1:
-            counts = np.zeros(cum.shape, dtype=np.int64)
-            _categorical_chunk_nb(cum, U64(master_seed), 0, trials, counts)
-            return counts
-        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-            futs = []
-            for lo, hi in spans:
-                buf = np.zeros(cum.shape, dtype=np.int64)
-                parts.append(buf)
-                futs.append(
-                    pool.submit(_categorical_chunk_nb, cum, U64(master_seed), lo, hi, buf)
-                )
-            for f in futs:
-                f.result()
-        return np.sum(parts, axis=0, dtype=np.int64)
-
     counts = np.zeros(cum.shape, dtype=np.int64)
     for r in range(cum.shape[0]):
-        seeds = _seeds_np(mix64(master_seed, r), 0, trials)
-        u = _uniform_np(seeds, 0)
+        seeds = _seeds(mix64(master_seed, r), trials)
+        u = _uniform(seeds, 0)
         picks = np.searchsorted(cum[r], u, side="right")
         counts[r] = np.bincount(picks, minlength=cum.shape[1])
     return counts
@@ -228,7 +90,6 @@ def protocol_outcomes(
     cum_eb: np.ndarray,
     master_seed: int,
     trials: int,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Stage outcomes for the value-first protocol, shape (trials, 4).
 
@@ -237,38 +98,18 @@ def protocol_outcomes(
     0..3 of the stream seeded by mix64(master, i), one per stage in
     recorded order.
     """
-    tables = (
-        np.ascontiguousarray(cum_va, dtype=np.float64),
-        np.ascontiguousarray(cum_vb, dtype=np.float64),
-        np.ascontiguousarray(cum_ea, dtype=np.float64),
-        np.ascontiguousarray(cum_eb, dtype=np.float64),
+    cva, cvb, cea, ceb = (
+        np.ascontiguousarray(c, dtype=np.float64) for c in (cum_va, cum_vb, cum_ea, cum_eb)
     )
-    master_seed = int(master_seed) & _MASK64
-    which = resolve_backend(backend)
+    seeds = _seeds(int(master_seed), trials)
     out = np.zeros((trials, 4), dtype=np.int64)
-    if which == "numba":
-        spans = _chunks(trials, thread_count())
-        if len(spans) == 1:
-            _protocol_chunk_nb(*tables, U64(master_seed), 0, trials, out)
-            return out
-        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-            futs = [
-                pool.submit(_protocol_chunk_nb, *tables, U64(master_seed), lo, hi, out)
-                for lo, hi in spans
-            ]
-            for f in futs:
-                f.result()
-        return out
-
-    cva, cvb, cea, ceb = tables
-    seeds = _seeds_np(master_seed, 0, trials)
-    u = _uniform_np(seeds, 0)
+    u = _uniform(seeds, 0)
     va = np.searchsorted(cva, u, side="right")
-    u = _uniform_np(seeds, 1)
+    u = _uniform(seeds, 1)
     vb = np.sum(cvb[va] <= u[:, None], axis=1)
-    u = _uniform_np(seeds, 2)
+    u = _uniform(seeds, 2)
     ea = np.sum(cea[va, vb] <= u[:, None], axis=1)
-    u = _uniform_np(seeds, 3)
+    u = _uniform(seeds, 3)
     eb = np.sum(ceb[va, vb, ea] <= u[:, None], axis=1)
     out[:, 0], out[:, 1], out[:, 2], out[:, 3] = va, vb, ea, eb
     return out

@@ -94,6 +94,8 @@ def _load_config(args, protocol: str) -> ExperimentConfig:
             raise exc
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file is not valid JSON: {exc}") from exc
+        if not isinstance(base, dict):
+            raise UsageError("config file must hold a JSON object")
         file_protocol = base.get("protocol")
         if file_protocol is not None and file_protocol != protocol:
             raise UsageError(

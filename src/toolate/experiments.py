@@ -4,7 +4,7 @@ Every run is a pure function of its configuration: outputs carry a JSON
 metadata preamble (artifact version, effective config, master seed) and
 no timestamps, so reruns are byte-identical.  ``trials = 0`` selects
 exact-only mode.  Monte Carlo uses the counter-based kernels; per-trial
-seeds are mix64(master_seed, trial_id), so trial-level parallelism
+seeds are mix64(master_seed, trial_id), so how trials are batched
 cannot change results.
 """
 
@@ -36,11 +36,9 @@ from .lhv import ConspiracyModel, conspiracy_predictions, enumerate_chsh_max, lh
 from .protocol import (
     PARTICLE_DIM,
     STAGE_ORDERS,
-    OutcomeRecord,
     Trine,
     composed_distribution,
     degrees_of,
-    exit_labels,
     joint_distribution,
     prepare_joint,
     stage_conditionals,
@@ -70,6 +68,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}; expected one of {PROTOCOLS}")
         if self.trials < 0:
             raise ValueError("trials must be >= 0")
+        if not (math.isfinite(self.threshold) and 0.0 <= self.threshold <= 1.0):
+            raise ValueError("threshold must be a finite number in [0, 1]")
         if sorted(self.port_binding) != [0, 1, 2]:
             raise ValueError("port_binding must be a permutation of (0, 1, 2)")
         angles = tuple(float(a) for a in self.angles_deg)
@@ -199,7 +199,7 @@ def _deg(rad: float) -> str:
 # --- standard Bell runs --------------------------------------------------------
 
 
-def run_epr(config: ExperimentConfig, backend: str | None = None) -> EstimateTable:
+def run_epr(config: ExperimentConfig) -> EstimateTable:
     """Exact singlet correlations and CHSH at four settings, plus Monte
     Carlo estimates when trials > 0.
 
@@ -226,7 +226,7 @@ def run_epr(config: ExperimentConfig, backend: str | None = None) -> EstimateTab
         cum = _kernels.cumulative(
             np.array([joint_value_probabilities(x, y) for _, x, y in pairs])
         )
-        counts = _kernels.categorical_counts(cum, config.master_seed, n, backend=backend)
+        counts = _kernels.categorical_counts(cum, config.master_seed, n)
         signs = np.array([1.0, -1.0, -1.0, 1.0])  # uu, ud, du, dd
         estimates = [float(counts[i] @ signs) / n for i in range(4)]
         errors = [math.sqrt(max(0.0, 1.0 - e * e) / n) for e in estimates]
@@ -252,28 +252,16 @@ def run_epr(config: ExperimentConfig, backend: str | None = None) -> EstimateTab
 def _exact_protocol_tables(trine: Trine):
     tree = stage_conditionals(trine)
     p_values = tree.p_value_a[:, None] * tree.p_value_b  # (2, 2)
-    cond = np.zeros((2, 2, 3, 3))
-    for va in range(2):
-        for vb in range(2):
-            for ra in range(3):
-                ea = 2 * ra + va
-                for rb in range(3):
-                    eb = 2 * rb + vb
-                    cond[va, vb, ra, rb] = (
-                        tree.p_exit_a[va, vb, ea] * tree.p_exit_b[va, vb, ea, eb]
-                    )
-    marg_a = np.zeros(3)
-    marg_b = np.zeros(3)
-    for va in range(2):
-        for vb in range(2):
-            marg_a += p_values[va, vb] * cond[va, vb].sum(axis=1)
-            marg_b += p_values[va, vb] * cond[va, vb].sum(axis=0)
-    return tree, p_values, cond, marg_a, marg_b
+    # cond[va, vb, ra, rb]; the exit index of rank r and value v is 2*r + v
+    va, vb, ra, rb = np.ix_(range(2), range(2), range(3), range(3))
+    ea = 2 * ra + va
+    cond = tree.p_exit_a[va, vb, ea] * tree.p_exit_b[va, vb, ea, 2 * rb + vb]
+    marg_a = (p_values[:, :, None] * cond.sum(axis=3)).reshape(4, 3).sum(axis=0)
+    marg_b = (p_values[:, :, None] * cond.sum(axis=2)).reshape(4, 3).sum(axis=0)
+    return p_values, cond, marg_a, marg_b
 
 
-def sample_protocol(
-    trine: Trine, trials: int, master_seed: int, backend: str | None = None
-) -> np.ndarray:
+def sample_protocol(trine: Trine, trials: int, master_seed: int) -> np.ndarray:
     """Stage outcomes (value_A, value_B, exit_A, exit_B) for each trial.
 
     Stage conditionals are projected out of the prepared state once;
@@ -289,13 +277,10 @@ def sample_protocol(
         _kernels.cumulative(tree.p_exit_b),
         master_seed,
         trials,
-        backend=backend,
     )
 
 
-def run_toolate(
-    config: ExperimentConfig, backend: str | None = None
-) -> tuple[EstimateTable, np.ndarray]:
+def run_toolate(config: ExperimentConfig) -> tuple[EstimateTable, np.ndarray]:
     """Value-first protocol: exact stage statistics plus Monte Carlo.
 
     Returns the estimate table and the raw outcome array (trials x 4);
@@ -305,14 +290,14 @@ def run_toolate(
         raise ValueError("run_toolate needs protocol toolate")
     trine = config.trine()
     degs = [f"{d:g}" for d in (degrees_of(t) for t in trine.orientations)]
-    _, p_values, cond, marg_a, marg_b = _exact_protocol_tables(trine)
+    p_values, cond, marg_a, marg_b = _exact_protocol_tables(trine)
 
     n = config.trials
     outcomes = np.zeros((0, 4), dtype=np.int64)
     vcounts = np.zeros((2, 2), dtype=np.int64)
     ccounts = np.zeros((2, 2, 3, 3), dtype=np.int64)
     if n > 0:
-        outcomes = sample_protocol(trine, n, config.master_seed, backend=backend)
+        outcomes = sample_protocol(trine, n, config.master_seed)
         va, vb, ea, eb = outcomes.T
         np.add.at(vcounts, (va, vb), 1)
         np.add.at(ccounts, (va, vb, ea // 2, eb // 2), 1)
@@ -363,24 +348,6 @@ def run_toolate(
     return table, outcomes
 
 
-def iter_records(
-    trine: Trine, outcomes: np.ndarray, master_seed: int
-) -> Iterator[OutcomeRecord]:
-    """Materialize the outcome stream as OutcomeRecord values."""
-    labels = exit_labels(trine)
-    seeds = _kernels.trial_seeds(master_seed, outcomes.shape[0])
-    for i in range(outcomes.shape[0]):
-        va, vb, ea, eb = (int(x) for x in outcomes[i])
-        yield OutcomeRecord(
-            trial=i,
-            seed=int(seeds[i]),
-            value_a=SpinValue(va),
-            value_b=SpinValue(vb),
-            exit_a=labels[ea],
-            exit_b=labels[eb],
-        )
-
-
 def iter_record_lines(
     trine: Trine, outcomes: np.ndarray, master_seed: int
 ) -> Iterator[str]:
@@ -414,6 +381,30 @@ def records_text(
 # --- interference and erasure runs ---------------------------------------------
 
 
+def _source_model_verdicts(
+    trine: Trine, quantum_ports: np.ndarray, threshold: float
+) -> dict[str, tuple[float, list[float], float, str]]:
+    """The uniform and the quantum-fitted source models against the
+    quantum recombination ports.  Maps each model name to (max abs
+    exit-table difference from quantum, predicted ports, TV distance,
+    verdict)."""
+    quantum_table = joint_distribution(prepare_joint(trine))
+    verdicts = {}
+    for name, model in (
+        ("uniform", ConspiracyModel.uniform()),
+        ("fitted_to_quantum", ConspiracyModel.from_exit_table(quantum_table)),
+    ):
+        exit_table, ports = conspiracy_predictions(model, trine)
+        tv, passed = interference_discriminator(quantum_ports, ports, threshold)
+        verdicts[name] = (
+            float(np.max(np.abs(exit_table - quantum_table))),
+            [float(p) for p in ports],
+            float(tv),
+            "pass" if passed else "fail",
+        )
+    return verdicts
+
+
 def run_interference(config: ExperimentConfig) -> dict[str, Any]:
     """Recombination test: value-fixed quantum state against source models."""
     trine = config.trine()
@@ -424,16 +415,12 @@ def run_interference(config: ExperimentConfig) -> dict[str, Any]:
     definite[0] = 1.0  # port p1, spin up-z
     product = np.kron(np.full(3, 1.0 / math.sqrt(3.0), dtype=complex), np.array([1, 0], complex))
 
-    fitted = ConspiracyModel.from_exit_table(joint_distribution(prepare_joint(trine)))
-    results = {}
-    for name, model in (("uniform", ConspiracyModel.uniform()), ("fitted_to_quantum", fitted)):
-        _, ports = conspiracy_predictions(model, trine)
-        tv, passed = interference_discriminator(quantum, ports, config.threshold)
-        results[name] = {
-            "ports": [float(p) for p in ports],
-            "tv_distance": float(tv),
-            "verdict": "pass" if passed else "fail",
-        }
+    results = {
+        name: {"ports": ports, "tv_distance": tv, "verdict": verdict}
+        for name, (_, ports, tv, verdict) in _source_model_verdicts(
+            trine, quantum, config.threshold
+        ).items()
+    }
 
     return {
         "meta": metadata(config),
@@ -457,7 +444,7 @@ def run_erasure(config: ExperimentConfig) -> dict[str, Any]:
 # --- hidden-variable comparison --------------------------------------------------
 
 
-def run_lhv_compare(config: ExperimentConfig, backend: str | None = None) -> dict[str, Any]:
+def run_lhv_compare(config: ExperimentConfig) -> dict[str, Any]:
     """Quantum against local and source-fixed models, side by side."""
     if config.protocol != "lhv_compare":
         raise ValueError("run_lhv_compare needs protocol lhv_compare")
@@ -466,22 +453,18 @@ def run_lhv_compare(config: ExperimentConfig, backend: str | None = None) -> dic
     lhv_max, best = enumerate_chsh_max(a, a2, b, b2)
 
     trine = Trine.default().permuted(config.port_binding)
-    quantum_table = joint_distribution(prepare_joint(trine))
     quantum_ports = recombine(literal_value_state(SpinValue.UP, trine)[0])
-
-    models = {}
-    for name, model in (
-        ("uniform", ConspiracyModel.uniform()),
-        ("fitted_to_quantum", ConspiracyModel.from_exit_table(quantum_table)),
-    ):
-        exit_table, ports = conspiracy_predictions(model, trine)
-        tv, passed = interference_discriminator(quantum_ports, ports, config.threshold)
-        models[name] = {
-            "exit_table_max_abs_diff": float(np.max(np.abs(exit_table - quantum_table))),
-            "recombination_ports": [float(p) for p in ports],
-            "interference_tv": float(tv),
-            "interference_verdict": "pass" if passed else "fail",
+    models = {
+        name: {
+            "exit_table_max_abs_diff": diff,
+            "recombination_ports": ports,
+            "interference_tv": tv,
+            "interference_verdict": verdict,
         }
+        for name, (diff, ports, tv, verdict) in _source_model_verdicts(
+            trine, quantum_ports, config.threshold
+        ).items()
+    }
 
     payload: dict[str, Any] = {
         "meta": metadata(config),
@@ -497,9 +480,7 @@ def run_lhv_compare(config: ExperimentConfig, backend: str | None = None) -> dic
         "conspiracy": models,
     }
     if config.trials > 0:
-        sampled = lhv_epr_sample(
-            [(1.0, best)], config.trials, config.master_seed, backend=backend
-        )
+        sampled = lhv_epr_sample([(1.0, best)], config.trials, config.master_seed)
         payload["lhv_mc"] = {k: float(v) for k, v in sampled.items()}
     return payload
 
@@ -628,7 +609,7 @@ def run_verify(config: ExperimentConfig) -> tuple[dict[str, Any], bool]:
     _check(checks, "zero_amplitudes", report.all_zero_checks_pass(),
            "same-orientation same-value amplitudes vanish at 1e-14")
 
-    tree, p_values, cond, marg_a, marg_b = _exact_protocol_tables(trine)
+    p_values, cond, marg_a, marg_b = _exact_protocol_tables(trine)
     _check(checks, "value_pairs_quarter",
            bool(np.max(np.abs(p_values - 0.25)) <= 1e-12),
            "all four value pairs have probability 1/4")
@@ -702,7 +683,7 @@ def run_verify(config: ExperimentConfig) -> tuple[dict[str, Any], bool]:
     perm_err = 0.0
     for perm in perms:
         other = trine.permuted(perm)
-        _, pv2, cond2, ma2, mb2 = _exact_protocol_tables(other)
+        pv2, cond2, ma2, mb2 = _exact_protocol_tables(other)
         perm_err = max(
             perm_err,
             float(np.max(np.abs(pv2 - p_values))),

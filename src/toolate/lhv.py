@@ -59,7 +59,6 @@ def lhv_epr_sample(
     mixture: list[tuple[float, DeterministicStrategy]],
     n: int,
     master_seed: int,
-    backend: str | None = None,
 ) -> dict[str, float]:
     """Monte Carlo Bell estimates under a mixture of deterministic strategies.
 
@@ -73,7 +72,7 @@ def lhv_epr_sample(
     if np.any(weights < 0) or weights.sum() <= 0:
         raise ValueError("mixture weights must be nonnegative and not all zero")
     cum = np.cumsum(weights / weights.sum()).reshape(1, -1)
-    counts = _kernels.categorical_counts(cum, master_seed, n, backend=backend)[0]
+    counts = _kernels.categorical_counts(cum, master_seed, n)[0]
 
     strategies = [s for _, s in mixture]
     est = {"E_ab": 0.0, "E_ab2": 0.0, "E_a2b": 0.0, "E_a2b2": 0.0}

@@ -116,11 +116,6 @@ def exit_labels(trine: Trine) -> list[ExitLabel]:
     return [ExitLabel(t, v) for t in trine.orientations for v in SpinValue]
 
 
-def exit_index(trine: Trine, label: ExitLabel) -> int:
-    rank = trine.orientations.index(wrap_angle(label.theta))
-    return 2 * rank + int(label.value)
-
-
 @dataclass(frozen=True, eq=False)
 class JointState:
     """Normalized 36-dim pair state plus the trine it was built with."""

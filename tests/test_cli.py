@@ -2,6 +2,8 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
 from toolate.cli import main, records_path
 
 
@@ -136,3 +138,33 @@ def test_bad_angles_value(capsys):
 
 def test_bad_port_binding(capsys):
     assert main(["toolate", "--port-binding", "0,0,1", "--trials", "0"]) == 1
+
+
+@pytest.mark.parametrize(
+    "config_text, flags",
+    [
+        ("[1, 2]", []),
+        ('"verify"', []),
+        (None, ["--threshold", "nan"]),
+        (None, ["--threshold", "-1"]),
+        (None, ["--threshold", "1.5"]),
+    ],
+    ids=[
+        "config-array",
+        "config-string",
+        "threshold-nan",
+        "threshold-negative",
+        "threshold-above-one",
+    ],
+)
+def test_bad_config_boundary_is_one_error_line(tmp_path, capsys, config_text, flags):
+    args = ["verify"] + flags
+    if config_text is not None:
+        path = tmp_path / "config.json"
+        path.write_text(config_text)
+        args += ["--config", str(path)]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("toolate:")]
+    assert len(errors) == 1

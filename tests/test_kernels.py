@@ -1,56 +1,14 @@
 import numpy as np
-import pytest
 
 from toolate import _kernels
 from toolate.experiments import sample_protocol
 from toolate.protocol import run_trial, exit_labels
 from toolate.rng import TrialRng
 
-pytestmark = pytest.mark.skipif(
-    not _kernels.HAS_NUMBA, reason="backend comparison needs numba installed"
-)
-
-
-def test_resolve_backend_env(monkeypatch):
-    monkeypatch.setenv("TOOLATE_BACKEND", "numpy")
-    assert _kernels.resolve_backend(None) == "numpy"
-    monkeypatch.setenv("TOOLATE_BACKEND", "auto")
-    assert _kernels.resolve_backend(None) == "numba"
-    assert _kernels.resolve_backend("numpy") == "numpy"
-    monkeypatch.setenv("TOOLATE_BACKEND", "bogus")
-    with pytest.raises(ValueError):
-        _kernels.resolve_backend(None)
-
 
 def test_cumulative_pins_last_entry():
     cum = _kernels.cumulative(np.array([[0.3, 0.3, 0.3999999]]))
     assert cum[0, -1] == 1.0
-
-
-def test_categorical_counts_backends_agree():
-    cum = _kernels.cumulative(np.array([[0.1, 0.2, 0.3, 0.4], [0.97, 0.01, 0.01, 0.01]]))
-    a = _kernels.categorical_counts(cum, 123, 50000, backend="numba")
-    b = _kernels.categorical_counts(cum, 123, 50000, backend="numpy")
-    assert a.dtype == np.int64
-    np.testing.assert_array_equal(a, b)
-    assert a.sum() == 2 * 50000
-
-
-def test_protocol_outcomes_backends_agree(trine):
-    a = sample_protocol(trine, 20000, 99, backend="numba")
-    b = sample_protocol(trine, 20000, 99, backend="numpy")
-    np.testing.assert_array_equal(a, b)
-
-
-def test_threaded_chunks_match_serial(trine, monkeypatch):
-    n = 70000  # above the chunking threshold
-    serial = sample_protocol(trine, n, 7, backend="numba")
-    monkeypatch.setenv("TOOLATE_THREADS", "3")
-    threaded = sample_protocol(trine, n, 7, backend="numba")
-    np.testing.assert_array_equal(serial, threaded)
-    monkeypatch.setenv("TOOLATE_THREADS", "1")
-    capped = sample_protocol(trine, n, 7, backend="numba")
-    np.testing.assert_array_equal(serial, capped)
 
 
 def test_kernel_matches_explicit_collapse_path(trine):
