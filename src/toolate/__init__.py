@@ -40,7 +40,6 @@ from .lhv import (
     DeterministicStrategy,
     conspiracy_predictions,
     enumerate_chsh_max,
-    lhv_epr_sample,
 )
 from .protocol import (
     ExitLabel,
@@ -65,14 +64,12 @@ from .qcore import (
     project,
     reduced_density,
     sample,
-    tensor,
 )
 from .rng import TrialRng, mix64, trial_seed
 from .spinlab import (
     SpinValue,
     chsh_value,
     correlation_exact,
-    sgm_projectors,
     singlet,
     spin_eigenstates,
     wrap_angle,

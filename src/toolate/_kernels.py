@@ -42,14 +42,10 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> U64(31))
 
 
-def _seeds(master: int, trials: int) -> np.ndarray:
-    ids = np.arange(trials, dtype=np.uint64)
-    return _mix(U64(master & _MASK64) + (ids + U64(1)) * _GOLD)
-
-
 def trial_seeds(master: int, trials: int) -> np.ndarray:
     """uint64 per-trial seeds, identical to rng.trial_seed."""
-    return _seeds(master, trials)
+    ids = np.arange(trials, dtype=np.uint64)
+    return _mix(U64(master & _MASK64) + (ids + U64(1)) * _GOLD)
 
 
 def _uniform(seeds: np.ndarray, draw: int) -> np.ndarray:
@@ -76,7 +72,7 @@ def categorical_counts(cum_rows: np.ndarray, master_seed: int, trials: int) -> n
     master_seed = int(master_seed) & _MASK64
     counts = np.zeros(cum.shape, dtype=np.int64)
     for r in range(cum.shape[0]):
-        seeds = _seeds(mix64(master_seed, r), trials)
+        seeds = trial_seeds(mix64(master_seed, r), trials)
         u = _uniform(seeds, 0)
         picks = np.searchsorted(cum[r], u, side="right")
         counts[r] = np.bincount(picks, minlength=cum.shape[1])
@@ -101,7 +97,7 @@ def protocol_outcomes(
     cva, cvb, cea, ceb = (
         np.ascontiguousarray(c, dtype=np.float64) for c in (cum_va, cum_vb, cum_ea, cum_eb)
     )
-    seeds = _seeds(int(master_seed), trials)
+    seeds = trial_seeds(int(master_seed), trials)
     out = np.zeros((trials, 4), dtype=np.int64)
     u = _uniform(seeds, 0)
     va = np.searchsorted(cva, u, side="right")

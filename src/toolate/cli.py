@@ -27,13 +27,17 @@ from .experiments import (
     run_verify,
 )
 
-_PROTOCOL_OF = {
-    "epr": "epr_standard",
-    "toolate": "toolate",
-    "interfere": "interference",
-    "erase": "erasure",
-    "lhv": "lhv_compare",
-    "verify": "verify",
+# subcommand -> (config protocol, help text)
+_COMMANDS = {
+    "epr": ("epr_standard",
+            "standard Bell run: exact correlations and CHSH, optional Monte Carlo"),
+    "toolate": ("toolate",
+                "value-first protocol run: stage statistics and outcome stream"),
+    "interfere": ("interference",
+                  "recombination test against source-fixed orientation models"),
+    "erase": ("erasure", "which-path erasure survey of the value-conditional states"),
+    "lhv": ("lhv_compare", "hidden-variable comparison: Bell bound plus interference verdicts"),
+    "verify": ("verify", "state audit plus all analytic invariants; exit 2 on failure"),
 }
 
 
@@ -48,76 +52,63 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _number_list(kind):
+    def parse(text: str) -> list:
+        return [kind(part) for part in text.split(",") if part.strip() != ""]
+
+    parse.__name__ = f"comma-separated {kind.__name__}"  # named in argparse's error
+    return parse
+
+
 def build_parser() -> _Parser:
+    # flag destinations are the config-file keys, so set flags and the
+    # file merge into one dict for ExperimentConfig.from_dict
     parser = _Parser(prog="toolate", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", metavar="command")
-    descriptions = {
-        "epr": "standard Bell run: exact correlations and CHSH, optional Monte Carlo",
-        "toolate": "value-first protocol run: stage statistics and outcome stream",
-        "interfere": "recombination test against source-fixed orientation models",
-        "erase": "which-path erasure survey of the value-conditional states",
-        "lhv": "hidden-variable comparison: Bell bound plus interference verdicts",
-        "verify": "state audit plus all analytic invariants; exit 2 on failure",
-    }
-    for name, desc in descriptions.items():
+    for name, (_, desc) in _COMMANDS.items():
         p = sub.add_parser(name, help=desc, description=desc)
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument(
             "--angles",
+            type=_number_list(float),
             help="comma-separated degrees: four settings (a,a',b,b') for epr/lhv, "
             "three orientations for the rest (default 0,120,240 or 0,90,45,135)",
         )
         p.add_argument("--trials", type=int, help="Monte Carlo trials; 0 = exact only")
-        p.add_argument("--seed", type=int, help="master seed for all stochastic output")
-        p.add_argument("--out", help="output file (CSV for epr/toolate, JSON otherwise)")
+        p.add_argument("--seed", dest="master_seed", metavar="SEED", type=int,
+                       help="master seed for all stochastic output")
+        p.add_argument("--out", dest="output_path", metavar="OUT",
+                       help="output file (CSV for epr/toolate, JSON otherwise)")
         p.add_argument(
             "--port-binding",
+            type=_number_list(int),
             help="permutation of 0,1,2 assigning orientations to ports, e.g. 2,0,1",
         )
         p.add_argument("--threshold", type=float, help="interference TV threshold")
     return parser
 
 
-def _parse_tuple(text: str, kind, flag: str):
-    try:
-        return tuple(kind(part.strip()) for part in text.split(",") if part.strip() != "")
-    except ValueError as exc:
-        raise UsageError(f"bad value for {flag}: {text!r}") from exc
-
-
-def _load_config(args, protocol: str) -> ExperimentConfig:
-    base: dict = {}
+def _load_config(args) -> ExperimentConfig:
+    protocol = _COMMANDS[args.command][0]
+    data: dict = {}
     if args.config:
         try:
-            base = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise exc
+            data = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(base, dict):
+        if not isinstance(data, dict):
             raise UsageError("config file must hold a JSON object")
-        file_protocol = base.get("protocol")
-        if file_protocol is not None and file_protocol != protocol:
+        if data.get("protocol") not in (None, protocol):
             raise UsageError(
-                f"config file declares protocol {file_protocol!r} "
+                f"config file declares protocol {data['protocol']!r} "
                 f"but the {protocol!r} subcommand was invoked"
             )
-    base["protocol"] = protocol
-    config = ExperimentConfig.from_dict(base)
-    overrides = {}
-    if args.angles is not None:
-        overrides["angles_deg"] = _parse_tuple(args.angles, float, "--angles")
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.out is not None:
-        overrides["output_path"] = args.out
-    if args.port_binding is not None:
-        overrides["port_binding"] = _parse_tuple(args.port_binding, int, "--port-binding")
-    if args.threshold is not None:
-        overrides["threshold"] = args.threshold
-    return config.override(**overrides)
+    flags = {
+        key: value
+        for key, value in vars(args).items()
+        if key not in ("command", "config") and value is not None
+    }
+    return ExperimentConfig.from_dict({**data, **flags, "protocol": protocol})
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -138,20 +129,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required")
-        protocol = _PROTOCOL_OF[args.command]
-        config = _load_config(args, protocol)
-    except UsageError as exc:
-        parser.print_usage(sys.stderr)
-        print(f"toolate: error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError) as exc:
-        print(f"toolate: config error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"toolate: i/o error: {exc}", file=sys.stderr)
-        return 3
-
-    try:
+        config = _load_config(args)
         if args.command == "epr":
             table = run_epr(config)
             _emit(table.to_csv_text(metadata(config)), config.output_path)
@@ -159,9 +137,9 @@ def main(argv=None) -> int:
             table, outcomes = run_toolate(config)
             _emit(table.to_csv_text(metadata(config)), config.output_path)
             if config.output_path is not None:
-                Path(records_path(config.output_path)).write_text(
+                _emit(
                     records_text(config.trine(), outcomes, metadata(config)),
-                    encoding="utf-8",
+                    records_path(config.output_path),
                 )
         elif args.command == "interfere":
             _emit(json_report_text(run_interference(config)), config.output_path)
@@ -174,6 +152,10 @@ def main(argv=None) -> int:
             _emit(json_report_text(payload), config.output_path)
             if not ok:
                 return 2
+    except UsageError as exc:
+        parser.print_usage(sys.stderr)
+        print(f"toolate: error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError) as exc:
         print(f"toolate: config error: {exc}", file=sys.stderr)
         return 1

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Any, Iterator
+from dataclasses import dataclass, field, fields
+from typing import Any
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .interference import (
     recombine,
     swap_report,
 )
-from .lhv import ConspiracyModel, conspiracy_predictions, enumerate_chsh_max, lhv_epr_sample
+from .lhv import ConspiracyModel, conspiracy_predictions, enumerate_chsh_max
 from .protocol import (
     PARTICLE_DIM,
     STAGE_ORDERS,
@@ -50,13 +50,28 @@ _CHSH_DEFAULT_DEG = (0.0, 90.0, 45.0, 135.0)
 _TRINE_DEFAULT_DEG = (0.0, 120.0, 240.0)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_finite(x) -> bool:
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment's inputs.  Angles are degrees at this boundary
-    (they arrive from people); everything internal works in radians."""
+    (they arrive from people); everything internal works in radians.
+
+    The field list is the config-file schema: each field's file key is
+    its name, or the ``key`` in its metadata.  Values are type-checked
+    here, whether they come from a file, a flag or a caller."""
 
     protocol: str
-    angles_deg: tuple[float, ...] = ()
+    angles_deg: tuple[float, ...] = field(default=(), metadata={"key": "angles"})
     trials: int = 0
     master_seed: int = 0
     port_binding: tuple[int, int, int] = (0, 1, 2)
@@ -66,12 +81,25 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}; expected one of {PROTOCOLS}")
-        if self.trials < 0:
-            raise ValueError("trials must be >= 0")
-        if not (math.isfinite(self.threshold) and 0.0 <= self.threshold <= 1.0):
+        if not (_is_int(self.trials) and self.trials >= 0):
+            raise ValueError("trials must be an integer >= 0")
+        if not _is_int(self.master_seed):
+            raise ValueError("master_seed must be an integer")
+        if not (self.output_path is None or isinstance(self.output_path, str)):
+            raise ValueError("output_path must be a string or null")
+        if not (_is_finite(self.threshold) and 0.0 <= self.threshold <= 1.0):
             raise ValueError("threshold must be a finite number in [0, 1]")
-        if sorted(self.port_binding) != [0, 1, 2]:
+        if not (
+            isinstance(self.port_binding, (list, tuple))
+            and all(_is_int(p) for p in self.port_binding)
+            and sorted(self.port_binding) == [0, 1, 2]
+        ):
             raise ValueError("port_binding must be a permutation of (0, 1, 2)")
+        if not (
+            isinstance(self.angles_deg, (list, tuple))
+            and all(_is_finite(a) for a in self.angles_deg)
+        ):
+            raise ValueError("angles must be a list of finite numbers (degrees)")
         angles = tuple(float(a) for a in self.angles_deg)
         if not angles:
             angles = (
@@ -82,11 +110,8 @@ class ExperimentConfig:
         if len(set(angles)) != len(angles):
             raise ValueError("angles must be distinct")
         object.__setattr__(self, "angles_deg", angles)
-        object.__setattr__(self, "port_binding", tuple(int(p) for p in self.port_binding))
-
-    @property
-    def angles_rad(self) -> tuple[float, ...]:
-        return tuple(math.radians(a) for a in self.angles_deg)
+        object.__setattr__(self, "port_binding", tuple(self.port_binding))
+        object.__setattr__(self, "threshold", float(self.threshold))
 
     def trine(self) -> Trine:
         if len(self.angles_deg) != 3:
@@ -97,41 +122,25 @@ class ExperimentConfig:
     def chsh_angles(self) -> tuple[float, float, float, float]:
         if len(self.angles_deg) != 4:
             raise ValueError("this protocol needs exactly four angles (a, a', b, b')")
-        return self.angles_rad  # type: ignore[return-value]
+        return tuple(math.radians(a) for a in self.angles_deg)  # type: ignore[return-value]
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "protocol": self.protocol,
-            "angles": list(self.angles_deg),
-            "trials": int(self.trials),
-            "master_seed": int(self.master_seed),
-            "port_binding": list(self.port_binding),
-            "output_path": self.output_path,
-            "threshold": float(self.threshold),
-        }
+        """The config as file keys and JSON values, as echoed in metadata."""
+        out = {}
+        for key, name in _FIELD_OF_KEY.items():
+            value = getattr(self, name)
+            out[key] = list(value) if isinstance(value, tuple) else value
+        return out
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ExperimentConfig":
-        known = {
-            "protocol": data.get("protocol"),
-            "angles_deg": tuple(data.get("angles", ())),
-            "trials": int(data.get("trials", 0)),
-            "master_seed": int(data.get("master_seed", 0)),
-            "port_binding": tuple(data.get("port_binding", (0, 1, 2))),
-            "output_path": data.get("output_path"),
-            "threshold": float(data.get("threshold", DEFAULT_TV_THRESHOLD)),
-        }
-        unknown = set(data) - {
-            "protocol", "angles", "trials", "master_seed",
-            "port_binding", "output_path", "threshold",
-        }
+        unknown = set(data) - set(_FIELD_OF_KEY)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**known)
+        return cls(**{_FIELD_OF_KEY[key]: value for key, value in data.items()})
 
-    def override(self, **kwargs) -> "ExperimentConfig":
-        kwargs = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **kwargs)
+
+_FIELD_OF_KEY = {f.metadata.get("key", f.name): f.name for f in fields(ExperimentConfig)}
 
 
 def metadata(config: ExperimentConfig) -> dict[str, Any]:
@@ -166,14 +175,6 @@ class EstimateTable:
                 int(n),
             )
         )
-
-    def exact_of(self, label: str) -> float:
-        for row in self.rows:
-            if row.label == label:
-                if row.exact is None:
-                    raise KeyError(f"row {label!r} has no exact value")
-                return row.exact
-        raise KeyError(f"no row labeled {label!r}")
 
     def to_csv_text(self, meta: dict[str, Any]) -> str:
         def cell(x):
@@ -284,7 +285,7 @@ def run_toolate(config: ExperimentConfig) -> tuple[EstimateTable, np.ndarray]:
     """Value-first protocol: exact stage statistics plus Monte Carlo.
 
     Returns the estimate table and the raw outcome array (trials x 4);
-    use ``iter_record_lines`` to serialize the outcome stream.
+    use ``records_text`` to serialize the outcome stream.
     """
     if config.protocol != "toolate":
         raise ValueError("run_toolate needs protocol toolate")
@@ -348,33 +349,30 @@ def run_toolate(config: ExperimentConfig) -> tuple[EstimateTable, np.ndarray]:
     return table, outcomes
 
 
-def iter_record_lines(
-    trine: Trine, outcomes: np.ndarray, master_seed: int
-) -> Iterator[str]:
-    """Compact JSON lines for the outcome stream, one per trial."""
-    degs = [degrees_of(t) for t in trine.orientations]
-    seeds = _kernels.trial_seeds(master_seed, outcomes.shape[0])
-    values = (SpinValue.UP.label, SpinValue.DOWN.label)
-    for i in range(outcomes.shape[0]):
-        va, vb, ea, eb = (int(x) for x in outcomes[i])
-        yield json.dumps(
-            {
-                "trial": i,
-                "seed": int(seeds[i]),
-                "value_A": values[va],
-                "value_B": values[vb],
-                "orient_A": degs[ea // 2],
-                "orient_B": degs[eb // 2],
-            },
-            separators=(",", ":"),
-        )
-
-
 def records_text(
     trine: Trine, outcomes: np.ndarray, meta: dict[str, Any]
 ) -> str:
+    """The outcome stream as JSON lines: the metadata line, then one
+    compact record per trial."""
+    degs = [degrees_of(t) for t in trine.orientations]
+    seeds = _kernels.trial_seeds(meta["master_seed"], outcomes.shape[0])
+    values = (SpinValue.UP.label, SpinValue.DOWN.label)
     lines = [json.dumps({"meta": meta}, sort_keys=True, separators=(",", ":"))]
-    lines.extend(iter_record_lines(trine, outcomes, meta["master_seed"]))
+    for i in range(outcomes.shape[0]):
+        va, vb, ea, eb = (int(x) for x in outcomes[i])
+        lines.append(
+            json.dumps(
+                {
+                    "trial": i,
+                    "seed": int(seeds[i]),
+                    "value_A": values[va],
+                    "value_B": values[vb],
+                    "orient_A": degs[ea // 2],
+                    "orient_B": degs[eb // 2],
+                },
+                separators=(",", ":"),
+            )
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -466,7 +464,7 @@ def run_lhv_compare(config: ExperimentConfig) -> dict[str, Any]:
         ).items()
     }
 
-    payload: dict[str, Any] = {
+    return {
         "meta": metadata(config),
         "chsh": {
             "quantum_S": float(s_quantum),
@@ -479,10 +477,6 @@ def run_lhv_compare(config: ExperimentConfig) -> dict[str, Any]:
         },
         "conspiracy": models,
     }
-    if config.trials > 0:
-        sampled = lhv_epr_sample([(1.0, best)], config.trials, config.master_seed)
-        payload["lhv_mc"] = {k: float(v) for k, v in sampled.items()}
-    return payload
 
 
 # --- chi-square -----------------------------------------------------------------

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .protocol import PATH_DIM, Trine, three_port_splitter
 
 
@@ -53,38 +52,6 @@ def enumerate_chsh_max(
         if s > best_s:
             best_s, best = s, strat
     return float(best_s), best
-
-
-def lhv_epr_sample(
-    mixture: list[tuple[float, DeterministicStrategy]],
-    n: int,
-    master_seed: int,
-) -> dict[str, float]:
-    """Monte Carlo Bell estimates under a mixture of deterministic strategies.
-
-    Each trial draws one strategy; outcomes are then fixed, so the four
-    correlation estimates are exact averages of the drawn strategies'
-    sign products.  Returns per-pair estimates and the sampled S.
-    """
-    if n < 1:
-        raise ValueError("need at least one trial")
-    weights = np.array([w for w, _ in mixture], dtype=float)
-    if np.any(weights < 0) or weights.sum() <= 0:
-        raise ValueError("mixture weights must be nonnegative and not all zero")
-    cum = np.cumsum(weights / weights.sum()).reshape(1, -1)
-    counts = _kernels.categorical_counts(cum, master_seed, n)[0]
-
-    strategies = [s for _, s in mixture]
-    est = {"E_ab": 0.0, "E_ab2": 0.0, "E_a2b": 0.0, "E_a2b2": 0.0}
-    for count, strat in zip(counts, strategies):
-        frac = count / n
-        est["E_ab"] += frac * strat.a * strat.b
-        est["E_ab2"] += frac * strat.a * strat.b2
-        est["E_a2b"] += frac * strat.a2 * strat.b
-        est["E_a2b2"] += frac * strat.a2 * strat.b2
-    est["S"] = est["E_ab"] - est["E_ab2"] + est["E_a2b"] + est["E_a2b2"]
-    est["n"] = float(n)
-    return est
 
 
 @dataclass(frozen=True)

@@ -198,9 +198,9 @@ def measure_value(
 ) -> tuple[SpinValue, JointState, float]:
     """Measure one particle's spin value only; orientation stays superposed."""
     partition = value_projectors(state.trine, particle)
-    probs = [qcore.projection_probability(p, state.vec) for p in partition]
     index, post = qcore.sample(state.vec, partition, rng)
-    return SpinValue(index), JointState(post, state.trine), probs[index]
+    prob = qcore.projection_probability(partition[index], state.vec)
+    return SpinValue(index), JointState(post, state.trine), prob
 
 
 def measure_orientation(
@@ -209,9 +209,9 @@ def measure_orientation(
     """Complete one particle's measurement by sampling its six exits."""
     labels = exit_labels(state.trine)
     partition = [exit_projector(state.trine, particle, lab) for lab in labels]
-    probs = [qcore.projection_probability(p, state.vec) for p in partition]
     index, post = qcore.sample(state.vec, partition, rng)
-    return labels[index], JointState(post, state.trine), probs[index]
+    prob = qcore.projection_probability(partition[index], state.vec)
+    return labels[index], JointState(post, state.trine), prob
 
 
 def joint_exit_basis(trine: Trine) -> np.ndarray:
@@ -261,34 +261,30 @@ def composed_distribution(state: JointState, order: Sequence[str]) -> np.ndarray
 
     trine = state.trine
     labels = exit_labels(trine)
+    partitions = {}  # by stage tag, built once for the whole tree
+    for side, particle in (("A", PARTICLE_A), ("B", PARTICLE_B)):
+        partitions["v" + side] = value_projectors(trine, particle)
+        partitions["o" + side] = [exit_projector(trine, particle, lab) for lab in labels]
     table = np.zeros((PARTICLE_DIM, PARTICLE_DIM))
-
-    def recurse(stage: int, vec: np.ndarray, weight: float, outcome: dict) -> None:
+    # depth-first over outcome branches; each (exit_A, exit_B) leaf is
+    # reached by exactly one branch, so the visiting order is immaterial
+    pending = [(0, state.vec, 1.0, {})]
+    while pending:
+        stage, vec, weight, outcome = pending.pop()
         if stage == len(order):
             table[outcome["oA"], outcome["oB"]] += weight
-            return
+            continue
         tag = order[stage]
-        particle = PARTICLE_A if tag.endswith("A") else PARTICLE_B
-        if tag.startswith("v"):
-            partition = list(value_projectors(trine, particle))
-            names = list(SpinValue)
-        else:
-            value = outcome[f"v{'A' if particle == PARTICLE_A else 'B'}"]
-            partition = [exit_projector(trine, particle, lab) for lab in labels]
-            names = list(range(len(labels)))
-        for name, proj in zip(names, partition):
+        for name, proj in enumerate(partitions[tag]):
             prob = qcore.projection_probability(proj, vec)
             if prob <= qcore.ZERO_PROB:
                 continue
-            if tag.startswith("o") and labels[name].value != value:
+            if tag[0] == "o" and labels[name].value != outcome["v" + tag[1]]:
                 # exits conflicting with the recorded value carry zero
                 # weight; reaching here would mean a broken collapse
                 raise AssertionError("nonzero weight on a value-inconsistent exit")
             post = (proj @ vec) / np.sqrt(prob)
-            recurse(stage + 1, post, weight * prob, {**outcome, tag: name})
-        return
-
-    recurse(0, state.vec, 1.0, {})
+            pending.append((stage + 1, post, weight * prob, {**outcome, tag: name}))
     return table
 
 
@@ -323,6 +319,8 @@ def stage_conditionals(trine: Trine) -> StageConditionals:
     pb_up, pb_down = value_projectors(trine, PARTICLE_B)
     proj_a = {SpinValue.UP: pa_up, SpinValue.DOWN: pa_down}
     proj_b = {SpinValue.UP: pb_up, SpinValue.DOWN: pb_down}
+    exits_a = [exit_projector(trine, PARTICLE_A, label) for label in labels]
+    exits_b = [exit_projector(trine, PARTICLE_B, label) for label in labels]
 
     p_value_a = np.zeros(2)
     p_value_b = np.zeros((2, 2))
@@ -335,20 +333,14 @@ def stage_conditionals(trine: Trine) -> StageConditionals:
         for vb in SpinValue:
             prob_b, state_b = qcore.project(proj_b[vb], state_a)
             p_value_b[va, vb] = prob_b
-            for ea, label_a in enumerate(labels):
-                prob_ea = qcore.projection_probability(
-                    exit_projector(trine, PARTICLE_A, label_a), state_b
-                )
+            for ea, exit_a in enumerate(exits_a):
+                prob_ea = qcore.projection_probability(exit_a, state_b)
                 p_exit_a[va, vb, ea] = prob_ea
                 if prob_ea <= qcore.ZERO_PROB:
                     continue
-                _, state_ea = qcore.project(
-                    exit_projector(trine, PARTICLE_A, label_a), state_b
-                )
-                for eb, label_b in enumerate(labels):
-                    p_exit_b[va, vb, ea, eb] = qcore.projection_probability(
-                        exit_projector(trine, PARTICLE_B, label_b), state_ea
-                    )
+                _, state_ea = qcore.project(exit_a, state_b)
+                for eb, exit_b in enumerate(exits_b):
+                    p_exit_b[va, vb, ea, eb] = qcore.projection_probability(exit_b, state_ea)
 
     p_value_a = _snap(p_value_a)
     p_value_b = np.stack([_snap(row) for row in p_value_b])

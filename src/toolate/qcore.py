@@ -35,10 +35,6 @@ def as_state(vec) -> np.ndarray:
     return arr
 
 
-def norm(state) -> float:
-    return float(np.linalg.norm(as_state(state)))
-
-
 def normalize(state) -> np.ndarray:
     arr = as_state(state)
     n = np.linalg.norm(arr)
@@ -72,13 +68,6 @@ def is_projector(op, atol: float = ATOL) -> bool:
     hermitian = np.allclose(p, dagger(p), atol=atol, rtol=0.0)
     idempotent = np.allclose(p @ p, p, atol=atol, rtol=0.0)
     return hermitian and idempotent
-
-
-def tensor(u, v) -> np.ndarray:
-    """Tensor product of two normalized states, first factor outermost."""
-    a = require_normalized(u)
-    b = require_normalized(v)
-    return np.kron(a, b)
 
 
 def apply_unitary(op, state, dims, axis: int) -> np.ndarray:

@@ -45,22 +45,9 @@ def spin_eigenstates(theta: float) -> tuple[np.ndarray, np.ndarray]:
     return up, down
 
 
-def sgm_projectors(theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-1 projectors onto the two magnet exits; they sum to identity."""
-    up, down = spin_eigenstates(theta)
-    return np.outer(up, up.conj()), np.outer(down, down.conj())
-
-
 def singlet() -> np.ndarray:
     """Total-spin-zero pair in the z (x) z basis: (|ud> - |du>)/sqrt 2."""
     return np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-
-
-def rotation(theta: float) -> np.ndarray:
-    """In-plane rotation taking the z frame to the ``theta`` frame."""
-    t = wrap_angle(theta)
-    c, s = math.cos(t / 2.0), math.sin(t / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
 
 
 def joint_value_probabilities(a: float, b: float) -> np.ndarray:

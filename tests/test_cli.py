@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -141,13 +142,25 @@ def test_bad_port_binding(capsys):
 
 
 @pytest.mark.parametrize(
-    "config_text, flags",
+    "config_text, argv, mentions",
     [
-        ("[1, 2]", []),
-        ('"verify"', []),
-        (None, ["--threshold", "nan"]),
-        (None, ["--threshold", "-1"]),
-        (None, ["--threshold", "1.5"]),
+        ("[1, 2]", ["verify"], "JSON object"),
+        ('"verify"', ["verify"], "JSON object"),
+        (None, ["verify", "--threshold", "nan"], "threshold"),
+        (None, ["verify", "--threshold", "-1"], "threshold"),
+        (None, ["verify", "--threshold", "1.5"], "threshold"),
+        ('{"threshold": null}', ["verify"], "threshold"),
+        ('{"angles": 5}', ["verify"], "angles"),
+        ('{"angles": [0, 120, 1e400]}', ["verify"], "angles"),
+        (None, ["verify", "--angles", "0,120,nan"], "angles"),
+        (None, ["epr", "--angles", "0,90,nan,135"], "angles"),
+        ('{"trials": null}', ["verify"], "trials"),
+        ('{"trials": 1.7}', ["toolate"], "trials"),
+        ('{"trials": true}', ["toolate"], "trials"),
+        ('{"trials": "5"}', ["toolate"], "trials"),
+        ('{"master_seed": true}', ["toolate"], "master_seed"),
+        ('{"port_binding": 5}', ["verify"], "port_binding"),
+        ('{"output_path": 5}', ["verify"], "output_path"),
     ],
     ids=[
         "config-array",
@@ -155,10 +168,22 @@ def test_bad_port_binding(capsys):
         "threshold-nan",
         "threshold-negative",
         "threshold-above-one",
+        "threshold-null",
+        "angles-number",
+        "angles-overflow",
+        "angles-nan",
+        "chsh-angles-nan",
+        "trials-null",
+        "trials-fraction",
+        "trials-bool",
+        "trials-string",
+        "seed-bool",
+        "port-binding-number",
+        "output-path-number",
     ],
 )
-def test_bad_config_boundary_is_one_error_line(tmp_path, capsys, config_text, flags):
-    args = ["verify"] + flags
+def test_bad_config_boundary_is_one_error_line(tmp_path, capsys, config_text, argv, mentions):
+    args = list(argv)
     if config_text is not None:
         path = tmp_path / "config.json"
         path.write_text(config_text)
@@ -168,3 +193,31 @@ def test_bad_config_boundary_is_one_error_line(tmp_path, capsys, config_text, fl
     assert captured.out == ""
     errors = [line for line in captured.err.splitlines() if line.startswith("toolate:")]
     assert len(errors) == 1
+    assert mentions in errors[0]
+
+
+# sha256 of artifacts and stdout; a change here changes the bytes users get
+PINNED = {
+    "toolate run.csv": "590917c41a7a54d534af0868747ddf63f1aaf832e9b4be6a28769002727b31c7",
+    "toolate run.records.jsonl": "511b84d48733c10495709cdb0b3128ee1ae4c6c3868c95e1f0f8982797e67b32",
+    "toolate stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "epr stdout": "6b08f55d1ac769deebb095a5c7a34c3c9478615088aa0098dad519919387bdcc",
+    "verify stdout": "ee5895db8b262568e39ce856ce621ad52fad7d7e020885db37f8f1f8d4ceacb8",
+}
+
+
+def test_artifacts_match_pinned_hashes(tmp_path, monkeypatch, capsys):
+    # a relative --out keeps the echoed output_path independent of tmp_path
+    monkeypatch.chdir(tmp_path)
+    sha = lambda data: hashlib.sha256(data).hexdigest()
+    got = {}
+    for argv in (
+        ["toolate", "--trials", "20000", "--seed", "42", "--out", "run.csv"],
+        ["epr", "--trials", "20000", "--seed", "42"],
+        ["verify"],
+    ):
+        assert main(argv) == 0
+        got[f"{argv[0]} stdout"] = sha(capsys.readouterr().out.encode("utf-8"))
+    for name in ("run.csv", "run.records.jsonl"):
+        got[f"toolate {name}"] = sha((tmp_path / name).read_bytes())
+    assert got == PINNED

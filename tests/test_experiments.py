@@ -6,7 +6,6 @@ import pytest
 import scipy.stats
 
 from toolate.experiments import (
-    EstimateTable,
     ExperimentConfig,
     _gamma_q,
     chi_square,
@@ -161,7 +160,8 @@ class TestReports:
         fitted = report["conspiracy"]["fitted_to_quantum"]
         assert fitted["exit_table_max_abs_diff"] < 1e-12
         assert fitted["interference_verdict"] == "pass"
-        assert abs(report["lhv_mc"]["S"]) <= 2.0
+        # trials > 0 adds no sampled block: one deterministic strategy has no variance
+        assert set(report) == {"meta", "chsh", "conspiracy"}
 
     def test_verify_passes_and_reports_the_overlap_gap(self):
         payload, ok = run_verify(ExperimentConfig(protocol="verify"))
@@ -224,12 +224,3 @@ class TestGammaTail:
         assert _gamma_q(1.0, math.inf) == 0.0
         with pytest.raises(ValueError):
             _gamma_q(0.0, 1.0)
-
-
-class TestEstimateTable:
-    def test_lookup_errors(self):
-        table = EstimateTable()
-        table.add("x", exact=1.0)
-        assert table.exact_of("x") == 1.0
-        with pytest.raises(KeyError):
-            table.exact_of("y")

@@ -8,7 +8,6 @@ from toolate.lhv import (
     DeterministicStrategy,
     conspiracy_predictions,
     enumerate_chsh_max,
-    lhv_epr_sample,
 )
 from toolate.protocol import joint_distribution, prepare_joint
 from toolate.spinlab import chsh_value
@@ -34,44 +33,6 @@ class TestEnumeration:
     def test_rejects_non_sign_values(self):
         with pytest.raises(ValueError):
             DeterministicStrategy(1, 0, 1, 1)
-
-
-class TestSampling:
-    def test_single_strategy_reproduces_its_value(self):
-        strat = DeterministicStrategy(1, -1, 1, -1)
-        est = lhv_epr_sample([(1.0, strat)], n=5000, master_seed=3)
-        assert est["S"] == strat.chsh()
-
-    def test_anticorrelated_pair_at_equal_angles(self):
-        # B assigns the opposite of A at the shared setting
-        strat = DeterministicStrategy(1, 1, -1, -1)
-        est = lhv_epr_sample([(1.0, strat)], n=2000, master_seed=9)
-        assert est["E_ab"] == -1.0
-
-    def test_mixtures_never_beat_the_bound(self, rand):
-        for seed in range(10):
-            weights = rand.uniform(0.0, 1.0, size=4)
-            mixture = [
-                (float(w), DeterministicStrategy(*signs))
-                for w, signs in zip(
-                    weights, ((1, 1, 1, 1), (1, -1, -1, 1), (-1, 1, 1, -1), (-1, -1, 1, 1))
-                )
-            ]
-            est = lhv_epr_sample(mixture, n=100000, master_seed=seed)
-            sigma = math.sqrt(4.0 / est["n"])  # generous bound on stderr of S
-            assert abs(est["S"]) <= 2.0 + 5 * sigma
-
-    def test_bit_exact_reproducibility(self):
-        mixture = [(0.5, DeterministicStrategy(1, 1, 1, 1)), (0.5, DeterministicStrategy(-1, 1, -1, 1))]
-        a = lhv_epr_sample(mixture, n=4096, master_seed=77)
-        b = lhv_epr_sample(mixture, n=4096, master_seed=77)
-        assert a == b
-
-    def test_rejects_empty_or_negative(self):
-        with pytest.raises(ValueError):
-            lhv_epr_sample([(1.0, DeterministicStrategy(1, 1, 1, 1))], n=0, master_seed=0)
-        with pytest.raises(ValueError):
-            lhv_epr_sample([(-1.0, DeterministicStrategy(1, 1, 1, 1))], n=10, master_seed=0)
 
 
 class TestConspiracy:

@@ -17,27 +17,6 @@ E1 = np.array([0, 1], dtype=complex)
 PLUS = np.array([1, 1], dtype=complex) / math.sqrt(2)
 
 
-class TestTensor:
-    def test_basis_product(self):
-        out = qcore.tensor(E0, E1)
-        assert out.shape == (4,)
-        assert out[1] == 1.0 and np.count_nonzero(out) == 1
-
-    def test_linearity(self):
-        out = qcore.tensor(PLUS, E0)
-        np.testing.assert_allclose(out, [1 / math.sqrt(2), 0, 1 / math.sqrt(2), 0], atol=1e-15)
-
-    def test_norm_multiplicative(self, rand):
-        for _ in range(25):
-            u = random_state(rand, 3)
-            v = random_state(rand, 4)
-            assert abs(np.linalg.norm(qcore.tensor(u, v)) - 1.0) < 1e-12
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            qcore.tensor(2 * E0, E1)
-
-
 class TestApplyUnitary:
     def test_identity_leaves_amplitudes(self, rand):
         state = random_state(rand, 6)

@@ -8,14 +8,18 @@ from toolate.spinlab import (
     chsh_value,
     correlation_exact,
     joint_value_probabilities,
-    rotation,
-    sgm_projectors,
     singlet,
     spin_eigenstates,
     wrap_angle,
 )
 
 TWO_PI = 2 * math.pi
+
+
+def sgm_projectors(theta):
+    """Rank-1 projectors onto the two magnet exits along ``theta``."""
+    up, down = spin_eigenstates(theta)
+    return np.outer(up, up.conj()), np.outer(down, down.conj())
 
 
 def test_wrap_angle():
@@ -70,7 +74,7 @@ class TestSinglet:
     def test_rotation_invariance(self, rand):
         psi = singlet()
         for theta in rand.uniform(0, TWO_PI, size=30):
-            r = rotation(theta)
+            r = np.column_stack(spin_eigenstates(theta))  # z frame -> theta frame
             rotated = np.kron(r.conj().T, r.conj().T) @ psi
             np.testing.assert_allclose(rotated, psi, atol=1e-12)
 
@@ -147,4 +151,4 @@ def test_every_unitary_constructor_is_unitary(rand):
     assert is_unitary(three_port_splitter())
     assert is_unitary(three_port_splitter().conj().T)
     for theta in rand.uniform(0, TWO_PI, size=50):
-        assert is_unitary(rotation(theta))
+        assert is_unitary(np.column_stack(spin_eigenstates(theta)))
