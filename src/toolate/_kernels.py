@@ -4,7 +4,8 @@ The trial loops are the only hot code in the package.  They implement
 the exact counter-based stream of ``rng`` on uint64: trial i's k-th
 uniform is a pure function of (master seed, i, k), so the outcome
 arrays are bit-identical to the scalar ``rng`` route and independent of
-how the trials are batched.
+how the trials are batched.  The kernels draw ``CHUNK`` trials at a
+time, so their temporaries stay O(CHUNK) however many trials are asked for.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ _GOLD = U64(GOLDEN)
 _M1 = U64(0xBF58476D1CE4E5B9)
 _M2 = U64(0x94D049BB133111EB)
 _INV53 = 1.0 / 9007199254740992.0
+
+# trials per batch: sampling and record writing work through this many at once
+CHUNK = 1 << 16
 
 
 def cumulative(probs: np.ndarray) -> np.ndarray:
@@ -42,9 +46,10 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> U64(31))
 
 
-def trial_seeds(master: int, trials: int) -> np.ndarray:
-    """uint64 per-trial seeds, identical to rng.trial_seed."""
-    ids = np.arange(trials, dtype=np.uint64)
+def trial_seeds(master: int, trials: int, start: int = 0) -> np.ndarray:
+    """uint64 seeds of trials start .. start + trials - 1, identical to
+    rng.trial_seed."""
+    ids = np.arange(start, start + trials, dtype=np.uint64)
     return _mix(U64(master & _MASK64) + (ids + U64(1)) * _GOLD)
 
 
@@ -72,10 +77,11 @@ def categorical_counts(cum_rows: np.ndarray, master_seed: int, trials: int) -> n
     master_seed = int(master_seed) & _MASK64
     counts = np.zeros(cum.shape, dtype=np.int64)
     for r in range(cum.shape[0]):
-        seeds = trial_seeds(mix64(master_seed, r), trials)
-        u = _uniform(seeds, 0)
-        picks = np.searchsorted(cum[r], u, side="right")
-        counts[r] = np.bincount(picks, minlength=cum.shape[1])
+        row_seed = mix64(master_seed, r)
+        for start in range(0, trials, CHUNK):
+            seeds = trial_seeds(row_seed, min(CHUNK, trials - start), start)
+            picks = np.searchsorted(cum[r], _uniform(seeds, 0), side="right")
+            counts[r] += np.bincount(picks, minlength=cum.shape[1])
     return counts
 
 
@@ -97,15 +103,13 @@ def protocol_outcomes(
     cva, cvb, cea, ceb = (
         np.ascontiguousarray(c, dtype=np.float64) for c in (cum_va, cum_vb, cum_ea, cum_eb)
     )
-    seeds = trial_seeds(int(master_seed), trials)
-    out = np.zeros((trials, 4), dtype=np.int64)
-    u = _uniform(seeds, 0)
-    va = np.searchsorted(cva, u, side="right")
-    u = _uniform(seeds, 1)
-    vb = np.sum(cvb[va] <= u[:, None], axis=1)
-    u = _uniform(seeds, 2)
-    ea = np.sum(cea[va, vb] <= u[:, None], axis=1)
-    u = _uniform(seeds, 3)
-    eb = np.sum(ceb[va, vb, ea] <= u[:, None], axis=1)
-    out[:, 0], out[:, 1], out[:, 2], out[:, 3] = va, vb, ea, eb
+    out = np.empty((trials, 4), dtype=np.int64)
+    for start in range(0, trials, CHUNK):
+        seeds = trial_seeds(int(master_seed), min(CHUNK, trials - start), start)
+        va = np.searchsorted(cva, _uniform(seeds, 0), side="right")
+        vb = np.sum(cvb[va] <= _uniform(seeds, 1)[:, None], axis=1)
+        ea = np.sum(cea[va, vb] <= _uniform(seeds, 2)[:, None], axis=1)
+        eb = np.sum(ceb[va, vb, ea] <= _uniform(seeds, 3)[:, None], axis=1)
+        rows = out[start : start + CHUNK]
+        rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = va, vb, ea, eb
     return out

@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from .experiments import (
     ExperimentConfig,
     json_report_text,
     metadata,
-    records_text,
+    record_chunks,
     run_epr,
     run_erasure,
     run_interference,
@@ -111,11 +112,14 @@ def _load_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict({**data, **flags, "protocol": protocol})
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(text: str | Iterable[str], path: str | None) -> None:
+    """Write one text, or a stream of text chunks, to ``path`` or stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as out:
+            out.writelines(chunks)
 
 
 def records_path(table_path: str) -> str:
@@ -138,7 +142,7 @@ def main(argv=None) -> int:
             _emit(table.to_csv_text(metadata(config)), config.output_path)
             if config.output_path is not None:
                 _emit(
-                    records_text(config.trine(), outcomes, metadata(config)),
+                    record_chunks(config.trine(), outcomes, metadata(config)),
                     records_path(config.output_path),
                 )
         elif args.command == "interfere":

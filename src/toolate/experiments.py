@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .lhv import ConspiracyModel, conspiracy_predictions, enumerate_chsh_max
 from .protocol import (
     PARTICLE_DIM,
     STAGE_ORDERS,
+    StageConditionals,
     Trine,
     composed_distribution,
     degrees_of,
@@ -250,8 +251,7 @@ def run_epr(config: ExperimentConfig) -> EstimateTable:
 # --- value-first protocol runs -------------------------------------------------
 
 
-def _exact_protocol_tables(trine: Trine):
-    tree = stage_conditionals(trine)
+def _exact_protocol_tables(tree: StageConditionals):
     p_values = tree.p_value_a[:, None] * tree.p_value_b  # (2, 2)
     # cond[va, vb, ra, rb]; the exit index of rank r and value v is 2*r + v
     va, vb, ra, rb = np.ix_(range(2), range(2), range(3), range(3))
@@ -262,6 +262,13 @@ def _exact_protocol_tables(trine: Trine):
     return p_values, cond, marg_a, marg_b
 
 
+def _sample_tree(tree: StageConditionals, trials: int, master_seed: int) -> np.ndarray:
+    stages = (tree.p_value_a, tree.p_value_b, tree.p_exit_a, tree.p_exit_b)
+    return _kernels.protocol_outcomes(
+        *(_kernels.cumulative(p) for p in stages), master_seed, trials
+    )
+
+
 def sample_protocol(trine: Trine, trials: int, master_seed: int) -> np.ndarray:
     """Stage outcomes (value_A, value_B, exit_A, exit_B) for each trial.
 
@@ -270,38 +277,33 @@ def sample_protocol(trine: Trine, trials: int, master_seed: int) -> np.ndarray:
     which reproduces sequential collapse draw for draw (tested against
     the explicit slow path).
     """
-    tree = stage_conditionals(trine)
-    return _kernels.protocol_outcomes(
-        _kernels.cumulative(tree.p_value_a),
-        _kernels.cumulative(tree.p_value_b),
-        _kernels.cumulative(tree.p_exit_a),
-        _kernels.cumulative(tree.p_exit_b),
-        master_seed,
-        trials,
-    )
+    return _sample_tree(stage_conditionals(trine), trials, master_seed)
+
+
+def _cells(outcomes: np.ndarray) -> np.ndarray:
+    """Flat index ((value_A*2 + value_B)*3 + rank_A)*3 + rank_B of each row,
+    where rank = exit // 2 is the orientation's place in the trine."""
+    va, vb, ea, eb = outcomes.T
+    return ((va * 2 + vb) * 3 + ea // 2) * 3 + eb // 2
 
 
 def run_toolate(config: ExperimentConfig) -> tuple[EstimateTable, np.ndarray]:
     """Value-first protocol: exact stage statistics plus Monte Carlo.
 
     Returns the estimate table and the raw outcome array (trials x 4);
-    use ``records_text`` to serialize the outcome stream.
+    use ``record_chunks`` to serialize the outcome stream.
     """
     if config.protocol != "toolate":
         raise ValueError("run_toolate needs protocol toolate")
     trine = config.trine()
     degs = [f"{d:g}" for d in (degrees_of(t) for t in trine.orientations)]
-    p_values, cond, marg_a, marg_b = _exact_protocol_tables(trine)
+    tree = stage_conditionals(trine)
+    p_values, cond, marg_a, marg_b = _exact_protocol_tables(tree)
 
     n = config.trials
-    outcomes = np.zeros((0, 4), dtype=np.int64)
-    vcounts = np.zeros((2, 2), dtype=np.int64)
-    ccounts = np.zeros((2, 2, 3, 3), dtype=np.int64)
-    if n > 0:
-        outcomes = sample_protocol(trine, n, config.master_seed)
-        va, vb, ea, eb = outcomes.T
-        np.add.at(vcounts, (va, vb), 1)
-        np.add.at(ccounts, (va, vb, ea // 2, eb // 2), 1)
+    outcomes = _sample_tree(tree, n, config.master_seed)
+    ccounts = np.bincount(_cells(outcomes), minlength=36).reshape(2, 2, 3, 3)
+    vcounts = ccounts.sum(axis=(2, 3))
 
     table = EstimateTable()
 
@@ -350,30 +352,48 @@ def run_toolate(config: ExperimentConfig) -> tuple[EstimateTable, np.ndarray]:
 
 
 def records_text(
-    trine: Trine, outcomes: np.ndarray, meta: dict[str, Any]
+    trine: Trine, outcomes: np.ndarray, master_seed: int, start: int = 0
 ) -> str:
-    """The outcome stream as JSON lines: the metadata line, then one
-    compact record per trial."""
+    """One compact JSON line per outcome row, for trials start, start + 1, ...
+
+    A record's fields after "seed" depend only on its ``_cells`` index,
+    so the 36 possible tails are rendered once and only the trial and
+    seed are formatted per line.
+    """
     degs = [degrees_of(t) for t in trine.orientations]
-    seeds = _kernels.trial_seeds(meta["master_seed"], outcomes.shape[0])
     values = (SpinValue.UP.label, SpinValue.DOWN.label)
-    lines = [json.dumps({"meta": meta}, sort_keys=True, separators=(",", ":"))]
-    for i in range(outcomes.shape[0]):
-        va, vb, ea, eb = (int(x) for x in outcomes[i])
-        lines.append(
-            json.dumps(
-                {
-                    "trial": i,
-                    "seed": int(seeds[i]),
-                    "value_A": values[va],
-                    "value_B": values[vb],
-                    "orient_A": degs[ea // 2],
-                    "orient_B": degs[eb // 2],
-                },
-                separators=(",", ":"),
-            )
-        )
-    return "\n".join(lines) + "\n"
+    tails = [
+        json.dumps(
+            {
+                "value_A": values[va],
+                "value_B": values[vb],
+                "orient_A": degs[ra],
+                "orient_B": degs[rb],
+            },
+            separators=(",", ":"),
+        )[1:]
+        + "\n"
+        for va, vb, ra, rb in np.ndindex(2, 2, 3, 3)
+    ]
+    trials = range(start, start + len(outcomes))
+    seeds = _kernels.trial_seeds(master_seed, len(outcomes), start).tolist()
+    return "".join(
+        [
+            f'{{"trial":{i},"seed":{seed},{tails[cell]}'
+            for i, seed, cell in zip(trials, seeds, _cells(outcomes).tolist())
+        ]
+    )
+
+
+def record_chunks(
+    trine: Trine, outcomes: np.ndarray, meta: dict[str, Any]
+) -> Iterator[str]:
+    """The outcome stream as JSON lines: the metadata line, then
+    ``records_text`` of each run of ``_kernels.CHUNK`` trials."""
+    yield json.dumps({"meta": meta}, sort_keys=True, separators=(",", ":")) + "\n"
+    for start in range(0, len(outcomes), _kernels.CHUNK):
+        chunk = outcomes[start : start + _kernels.CHUNK]
+        yield records_text(trine, chunk, meta["master_seed"], start)
 
 
 # --- interference and erasure runs ---------------------------------------------
@@ -603,7 +623,7 @@ def run_verify(config: ExperimentConfig) -> tuple[dict[str, Any], bool]:
     _check(checks, "zero_amplitudes", report.all_zero_checks_pass(),
            "same-orientation same-value amplitudes vanish at 1e-14")
 
-    p_values, cond, marg_a, marg_b = _exact_protocol_tables(trine)
+    p_values, cond, marg_a, marg_b = _exact_protocol_tables(stage_conditionals(trine))
     _check(checks, "value_pairs_quarter",
            bool(np.max(np.abs(p_values - 0.25)) <= 1e-12),
            "all four value pairs have probability 1/4")
@@ -677,7 +697,7 @@ def run_verify(config: ExperimentConfig) -> tuple[dict[str, Any], bool]:
     perm_err = 0.0
     for perm in perms:
         other = trine.permuted(perm)
-        pv2, cond2, ma2, mb2 = _exact_protocol_tables(other)
+        pv2, cond2, ma2, mb2 = _exact_protocol_tables(stage_conditionals(other))
         perm_err = max(
             perm_err,
             float(np.max(np.abs(pv2 - p_values))),

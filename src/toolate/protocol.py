@@ -88,9 +88,6 @@ class Trine:
                 return port
         raise ValueError(f"orientation {theta!r} is not in the trine")
 
-    def degrees(self) -> tuple[float, float, float]:
-        return tuple(degrees_of(t) for t in self.angles_by_port)
-
 
 def degrees_of(theta: float) -> float:
     """Angle in degrees, rounded so conversion dust never leaks into

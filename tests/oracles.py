@@ -1,17 +1,22 @@
 """Independent oracle routes used by the tests.
 
-Nothing here reuses the package's numerics for the quantity it checks:
-eigenvalues come from a hand-rolled Jacobi sweep instead of LAPACK, and
+Nothing here reuses the package's numerics for the quantity it checks.
+Eigenvalues come from a hand-rolled Jacobi sweep instead of LAPACK;
 correlations come from full projector matrices instead of the package's
-amplitude contraction.  Expected values frozen into the tests were
-computed with these routines.
+amplitude contraction; the outcome records are serialized with one
+``json.dumps`` per trial and seeds from the scalar ``rng`` route.
+Expected values frozen into the tests were computed with these routines.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
+
+from toolate.protocol import degrees_of
+from toolate.rng import trial_seed
 
 
 def jacobi_eigvalsh_real(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
@@ -137,3 +142,29 @@ def independent_exit_table(angles_by_port) -> np.ndarray:
                     amp = np.vdot(np.kron(exit_a, exit_b), psi)
                     table[2 * ia + va, 2 * ib + vb] = abs(amp) ** 2
     return table
+
+
+# --- the outcome stream ---------------------------------------------------------
+
+
+def records_text_reference(orientations, outcomes, meta) -> str:
+    """The records file for a (trials x 4) outcome array, built whole:
+    the metadata line, then one ``json.dumps`` per trial."""
+    degs = [degrees_of(t) for t in orientations]
+    values = ("up", "down")
+    lines = [json.dumps({"meta": meta}, sort_keys=True, separators=(",", ":"))]
+    for i, (va, vb, ea, eb) in enumerate(outcomes.tolist()):
+        lines.append(
+            json.dumps(
+                {
+                    "trial": i,
+                    "seed": trial_seed(meta["master_seed"], i),
+                    "value_A": values[va],
+                    "value_B": values[vb],
+                    "orient_A": degs[ea // 2],
+                    "orient_B": degs[eb // 2],
+                },
+                separators=(",", ":"),
+            )
+        )
+    return "\n".join(lines) + "\n"

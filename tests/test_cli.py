@@ -1,11 +1,15 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from oracles import records_text_reference
+from toolate._kernels import CHUNK
 from toolate.cli import main, records_path
+from toolate.experiments import ExperimentConfig, metadata, sample_protocol
 
 
 def read_csv_rows(path: Path) -> dict:
@@ -203,6 +207,10 @@ PINNED = {
     "toolate stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "epr stdout": "6b08f55d1ac769deebb095a5c7a34c3c9478615088aa0098dad519919387bdcc",
     "verify stdout": "ee5895db8b262568e39ce856ce621ad52fad7d7e020885db37f8f1f8d4ceacb8",
+    # 131073 = 2 * 65536 + 1 trials: three chunks, the last of one trial
+    "toolate 131073 run.csv": "ff7114b14be46a1af47c506de9fc3e9a5ee3fcad95af75500530ec0f5cdf1f41",
+    "toolate 131073 run.records.jsonl":
+        "948ef8e2806c785360241063e719cba0c37570601419b02b2dc27b2ccc961788",
 }
 
 
@@ -220,4 +228,39 @@ def test_artifacts_match_pinned_hashes(tmp_path, monkeypatch, capsys):
         got[f"{argv[0]} stdout"] = sha(capsys.readouterr().out.encode("utf-8"))
     for name in ("run.csv", "run.records.jsonl"):
         got[f"toolate {name}"] = sha((tmp_path / name).read_bytes())
+    chunked = tmp_path / "chunked"
+    chunked.mkdir()
+    monkeypatch.chdir(chunked)
+    assert main(["toolate", "--trials", "131073", "--seed", "42", "--out", "run.csv"]) == 0
+    for name in ("run.csv", "run.records.jsonl"):
+        got[f"toolate 131073 {name}"] = sha((chunked / name).read_bytes())
     assert got == PINNED
+
+
+@pytest.mark.parametrize("trials", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+def test_streamed_records_match_whole_text_reference(tmp_path, monkeypatch, trials):
+    monkeypatch.chdir(tmp_path)
+    assert main(["toolate", "--trials", str(trials), "--seed", "7", "--out", "run.csv"]) == 0
+    config = ExperimentConfig("toolate", trials=trials, master_seed=7, output_path="run.csv")
+    trine = config.trine()
+    outcomes = sample_protocol(trine, trials, 7)
+    want = records_text_reference(trine.orientations, outcomes, metadata(config)).split("\n")
+    got = (tmp_path / "run.records.jsonl").read_bytes().decode("utf-8").split("\n")
+    # compared line by line: pytest's diff of two whole texts would take minutes
+    assert len(got) == len(want)
+    first = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+    assert first is None, f"line {first}: {got[first]!r} != {want[first]!r}"
+
+
+def test_records_run_holds_a_bounded_python_heap(tmp_path):
+    # 300000 trials make 33 MB of records text and a 9.6 MB outcome array.
+    # Written in chunks, the traced peak is the array plus about one
+    # chunk's lines and text: 31 MB.  Built whole, it was 127 MB.
+    tracemalloc.start()
+    try:
+        code = main(["toolate", "--trials", "300000", "--out", str(tmp_path / "run.csv")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 48e6

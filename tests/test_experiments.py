@@ -10,6 +10,7 @@ from toolate.experiments import (
     _gamma_q,
     chi_square,
     metadata,
+    record_chunks,
     records_text,
     run_epr,
     run_erasure,
@@ -18,6 +19,7 @@ from toolate.experiments import (
     run_toolate,
     run_verify,
 )
+from toolate.protocol import degrees_of
 from toolate.rng import trial_seed
 
 SQRT8 = 2 * math.sqrt(2)
@@ -47,7 +49,8 @@ class TestConfig:
 
     def test_trine_uses_port_binding(self):
         config = ExperimentConfig(protocol="toolate", port_binding=(2, 0, 1))
-        assert config.trine().degrees() == (240.0, 0.0, 120.0)
+        angles = config.trine().angles_by_port
+        assert tuple(degrees_of(a) for a in angles) == (240.0, 0.0, 120.0)
 
     def test_wrong_angle_count(self):
         with pytest.raises(ValueError):
@@ -119,8 +122,9 @@ class TestRunToolate:
     def test_records_text_fields(self, trine):
         config = ExperimentConfig(protocol="toolate", trials=5, master_seed=1)
         _, outcomes = run_toolate(config)
-        text = records_text(config.trine(), outcomes, metadata(config))
-        lines = text.strip().split("\n")
+        chunks = list(record_chunks(config.trine(), outcomes, metadata(config)))
+        assert all(isinstance(chunk, str) for chunk in chunks)
+        lines = "".join(chunks).strip().split("\n")
         assert len(lines) == 6
         assert "meta" in json.loads(lines[0])
         record = json.loads(lines[1])
@@ -131,6 +135,9 @@ class TestRunToolate:
             record = json.loads(line)
             assert record["trial"] == i
             assert record["seed"] == trial_seed(1, record["trial"])
+        # one chunk's text, numbered from its first trial
+        tail = records_text(config.trine(), outcomes[2:], 1, start=2)
+        assert tail == "\n".join(lines[3:]) + "\n"
 
 
 class TestReports:

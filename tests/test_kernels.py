@@ -3,7 +3,7 @@ import numpy as np
 from toolate import _kernels
 from toolate.experiments import sample_protocol
 from toolate.protocol import run_trial, exit_labels
-from toolate.rng import TrialRng
+from toolate.rng import TrialRng, mix64, trial_seed, uniform_at
 
 
 def test_cumulative_pins_last_entry():
@@ -23,6 +23,33 @@ def test_kernel_matches_explicit_collapse_path(trine):
         assert batch[i, 1] == int(record.value_b)
         assert batch[i, 2] == labels.index(record.exit_a)
         assert batch[i, 3] == labels.index(record.exit_b)
+
+
+def test_chunked_sampler_matches_collapse_path_at_chunk_boundaries(trine):
+    """Trials on both sides of every chunk boundary, at sizes that end
+    just before, on and just after one."""
+    labels = exit_labels(trine)
+    chunk = _kernels.CHUNK
+    edges = (0, 1, chunk - 2, chunk - 1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk, 2 * chunk + 1)
+    for n in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        batch = sample_protocol(trine, n, 99)
+        assert batch.shape == (n, 4)
+        for i in sorted({e for e in (*edges, n - 1) if 0 <= e < n}):
+            record = run_trial(trine, TrialRng.for_trial(99, i), i)
+            want = [int(record.value_a), int(record.value_b),
+                    labels.index(record.exit_a), labels.index(record.exit_b)]
+            assert batch[i].tolist() == want, (n, i)
+
+
+def test_chunked_categorical_counts_match_scalar_draws():
+    n = _kernels.CHUNK + 3
+    cum = _kernels.cumulative(np.array([[0.1, 0.2, 0.3, 0.4], [0.5, 0.0, 0.25, 0.25]]))
+    counts = _kernels.categorical_counts(cum, 17, n)
+    for r in range(2):
+        seed = mix64(17, r)
+        picks = [int(np.searchsorted(cum[r], uniform_at(trial_seed(seed, i), 0), side="right"))
+                 for i in range(n)]
+        assert counts[r].tolist() == np.bincount(picks, minlength=4).tolist()
 
 
 def test_zero_probability_outcomes_never_sampled(trine):

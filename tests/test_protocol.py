@@ -44,7 +44,7 @@ class TestTrine:
 
     def test_permuted_rebinds_ports(self, trine):
         t = trine.permuted((2, 0, 1))
-        assert t.degrees() == (240.0, 0.0, 120.0)
+        assert tuple(degrees_of(a) for a in t.angles_by_port) == (240.0, 0.0, 120.0)
         assert t.orientations == trine.orientations
 
     def test_rejects_duplicate_angles(self):

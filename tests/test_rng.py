@@ -32,6 +32,9 @@ def test_kernel_trial_seeds_match_python_route():
     seeds = _kernels.trial_seeds(42, 64)
     assert seeds.dtype == np.uint64
     assert [int(s) for s in seeds] == [trial_seed(42, i) for i in range(64)]
+    start = _kernels.CHUNK - 2
+    offset = _kernels.trial_seeds(42, 5, start)
+    assert offset.tolist() == [trial_seed(42, start + k) for k in range(5)]
 
 
 def test_golden_constant_is_the_published_one():
