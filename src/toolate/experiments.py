@@ -101,13 +101,14 @@ class ExperimentConfig:
             and all(_is_finite(a) for a in self.angles_deg)
         ):
             raise ValueError("angles must be a list of finite numbers (degrees)")
+        chsh = self.protocol in ("epr_standard", "lhv_compare")
         angles = tuple(float(a) for a in self.angles_deg)
         if not angles:
-            angles = (
-                _CHSH_DEFAULT_DEG
-                if self.protocol in ("epr_standard", "lhv_compare")
-                else _TRINE_DEFAULT_DEG
-            )
+            angles = _CHSH_DEFAULT_DEG if chsh else _TRINE_DEFAULT_DEG
+        if chsh and len(angles) != 4:
+            raise ValueError("this protocol needs exactly four angles (a, a', b, b')")
+        if not chsh and len(angles) != 3:
+            raise ValueError("this protocol needs exactly three angles")
         if len(set(angles)) != len(angles):
             raise ValueError("angles must be distinct")
         object.__setattr__(self, "angles_deg", angles)
@@ -115,14 +116,10 @@ class ExperimentConfig:
         object.__setattr__(self, "threshold", float(self.threshold))
 
     def trine(self) -> Trine:
-        if len(self.angles_deg) != 3:
-            raise ValueError("this protocol needs exactly three angles")
         ordered = Trine.from_degrees(self.angles_deg)
         return ordered.permuted(self.port_binding)
 
     def chsh_angles(self) -> tuple[float, float, float, float]:
-        if len(self.angles_deg) != 4:
-            raise ValueError("this protocol needs exactly four angles (a, a', b, b')")
         return tuple(math.radians(a) for a in self.angles_deg)  # type: ignore[return-value]
 
     def to_dict(self) -> dict[str, Any]:
@@ -603,7 +600,7 @@ def run_verify(config: ExperimentConfig) -> tuple[dict[str, Any], bool]:
     the audit merely reports (the pair and joint overlaps with derived
     states) are included in the payload but do not affect the verdict.
     """
-    trine = config.trine() if len(config.angles_deg) == 3 else Trine.default()
+    trine = config.trine()
     report = verify_states(trine)
     checks: list[dict[str, Any]] = []
 

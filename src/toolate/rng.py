@@ -9,8 +9,9 @@ splitmix64 output permutation; a trial's k-th uniform is
 and per-trial seeds are derived the same way from the master seed.
 Because no generator state is shared between trials, trials can be
 evaluated in any order (or in parallel) with identical results.  The
-accelerated kernels in ``_kernels`` implement the same arithmetic on
-``uint64`` and are bit-identical to this module.
+batch sampler in ``_kernels`` does the same arithmetic on numpy
+``uint64`` arrays, many trials at once, and is bit-identical to this
+module.
 """
 
 from __future__ import annotations

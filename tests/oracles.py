@@ -4,7 +4,9 @@ Nothing here reuses the package's numerics for the quantity it checks.
 Eigenvalues come from a hand-rolled Jacobi sweep instead of LAPACK;
 correlations come from full projector matrices instead of the package's
 amplitude contraction; the outcome records are serialized with one
-``json.dumps`` per trial and seeds from the scalar ``rng`` route.
+``json.dumps`` per trial and seeds from the scalar ``rng`` route; the
+batch samplers are the earlier out-of-place stream with whole-row
+gather-and-compare and ``searchsorted`` picks.
 Expected values frozen into the tests were computed with these routines.
 """
 
@@ -16,7 +18,7 @@ import math
 import numpy as np
 
 from toolate.protocol import degrees_of
-from toolate.rng import trial_seed
+from toolate.rng import GOLDEN, mix64, trial_seed
 
 
 def jacobi_eigvalsh_real(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
@@ -168,3 +170,53 @@ def records_text_reference(orientations, outcomes, meta) -> str:
             )
         )
     return "\n".join(lines) + "\n"
+
+
+# --- the batch samplers -----------------------------------------------------------
+
+_U64 = np.uint64
+_MASK64 = (1 << 64) - 1
+_CHUNK = 1 << 16
+
+
+def _mix_reference(z: np.ndarray) -> np.ndarray:
+    z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
+    return z ^ (z >> _U64(31))
+
+
+def _trial_seeds_reference(master: int, trials: int, start: int) -> np.ndarray:
+    ids = np.arange(start, start + trials, dtype=np.uint64)
+    return _mix_reference(_U64(master & _MASK64) + (ids + _U64(1)) * _U64(GOLDEN))
+
+
+def _uniform_reference(seeds: np.ndarray, draw: int) -> np.ndarray:
+    z = _mix_reference(seeds + _U64(((draw + 1) * GOLDEN) & _MASK64))
+    return (z >> _U64(11)) * (1.0 / 9007199254740992.0)
+
+
+def categorical_counts_reference(cum_rows, master_seed: int, trials: int) -> np.ndarray:
+    """``_kernels.categorical_counts`` with one ``searchsorted`` per row."""
+    cum = np.asarray(cum_rows, dtype=np.float64)
+    counts = np.zeros(cum.shape, dtype=np.int64)
+    for r in range(cum.shape[0]):
+        row_seed = mix64(int(master_seed) & _MASK64, r)
+        for start in range(0, trials, _CHUNK):
+            seeds = _trial_seeds_reference(row_seed, min(_CHUNK, trials - start), start)
+            picks = np.searchsorted(cum[r], _uniform_reference(seeds, 0), side="right")
+            counts[r] += np.bincount(picks, minlength=cum.shape[1])
+    return counts
+
+
+def protocol_outcomes_reference(cum_va, cum_vb, cum_ea, cum_eb, master_seed: int, trials: int):
+    """``_kernels.protocol_outcomes`` gathering each trial's whole
+    cumulative row and counting the entries at or below its uniform."""
+    out = np.empty((trials, 4), dtype=np.int64)
+    for start in range(0, trials, _CHUNK):
+        seeds = _trial_seeds_reference(int(master_seed), min(_CHUNK, trials - start), start)
+        va = np.searchsorted(cum_va, _uniform_reference(seeds, 0), side="right")
+        vb = np.sum(cum_vb[va] <= _uniform_reference(seeds, 1)[:, None], axis=1)
+        ea = np.sum(cum_ea[va, vb] <= _uniform_reference(seeds, 2)[:, None], axis=1)
+        eb = np.sum(cum_eb[va, vb, ea] <= _uniform_reference(seeds, 3)[:, None], axis=1)
+        out[start : start + _CHUNK] = np.column_stack([va, vb, ea, eb])
+    return out

@@ -158,6 +158,7 @@ def test_bad_port_binding(capsys):
         ('{"angles": [0, 120, 1e400]}', ["verify"], "angles"),
         (None, ["verify", "--angles", "0,120,nan"], "angles"),
         (None, ["epr", "--angles", "0,90,nan,135"], "angles"),
+        (None, ["verify", "--angles", "0,90,45,135"], "angles"),
         ('{"trials": null}', ["verify"], "trials"),
         ('{"trials": 1.7}', ["toolate"], "trials"),
         ('{"trials": true}', ["toolate"], "trials"),
@@ -177,6 +178,7 @@ def test_bad_port_binding(capsys):
         "angles-overflow",
         "angles-nan",
         "chsh-angles-nan",
+        "verify-four-angles",
         "trials-null",
         "trials-fraction",
         "trials-bool",

@@ -54,9 +54,11 @@ class TestConfig:
 
     def test_wrong_angle_count(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(protocol="toolate", angles_deg=(0, 90, 45, 135)).trine()
+            ExperimentConfig(protocol="toolate", angles_deg=(0, 90, 45, 135))
         with pytest.raises(ValueError):
-            ExperimentConfig(protocol="epr_standard", angles_deg=(0, 120, 240)).chsh_angles()
+            ExperimentConfig(protocol="verify", angles_deg=(0, 90, 45, 135))
+        with pytest.raises(ValueError):
+            ExperimentConfig(protocol="epr_standard", angles_deg=(0, 120, 240))
 
 
 class TestRunEpr:
