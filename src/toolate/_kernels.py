@@ -5,10 +5,12 @@ the exact counter-based stream of ``rng`` on uint64: trial i's k-th
 uniform is a pure function of (master seed, i, k), so the outcome
 arrays are bit-identical to the scalar ``rng`` route and independent of
 how the trials are batched.  The kernels draw ``CHUNK`` trials at a
-time, so their temporaries stay O(CHUNK) however many trials are asked for.
+time, so their temporaries stay O(CHUNK) however many trials are asked
+for; ``protocol_chunks`` hands each chunk to its caller instead of
+collecting the outcomes of every trial.
 
-The stream is mixed in place: a kernel call allocates the buffers of
-its uniforms once, at most ``CHUNK`` long, and every shift, xor and
+The stream is mixed in place: a run allocates the buffers of its
+uniforms once, at most ``CHUNK`` long, and every shift, xor and
 multiply of a draw writes into them.  A pick reads a cumulative table
 column by column: column j is one contiguous 1-D array over the table's
 rows, a trial's row is a flat index into it, and the pick counts the
@@ -18,6 +20,8 @@ whole row at once, so no pick depends on how the table is laid out.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -138,32 +142,40 @@ def categorical_counts(cum_rows: np.ndarray, master_seed: int, trials: int) -> n
     return counts
 
 
-def protocol_outcomes(
-    cum_va: np.ndarray,
-    cum_vb: np.ndarray,
-    cum_ea: np.ndarray,
-    cum_eb: np.ndarray,
-    master_seed: int,
-    trials: int,
-) -> np.ndarray:
-    """Stage outcomes for the value-first protocol, shape (trials, 4).
-
-    Columns: value_A, value_B, exit_A, exit_B (exit index = 2*rank +
-    value in canonical orientation order).  Trial i consumes uniforms
-    0..3 of the stream seeded by mix64(master, i), one per stage in
-    recorded order.  The array is column-major, so each stage's picks
-    are copied into one contiguous column.
+def protocol_chunks(
+    cums: list[np.ndarray], master_seed: int, trials: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield ``(start, seeds, outcomes)`` for each run of ``CHUNK``
+    value-first trials: the first trial's index, the trials' uint64
+    seeds mix64(master, i) and their ``protocol_outcomes``.  ``cums``
+    are the four stages' cumulative tables.  The buffers are allocated
+    once, so each chunk's arrays are overwritten by the next one.
     """
-    cva, cvb, cea, ceb = (_columns(c) for c in (cum_va, cum_vb, cum_ea, cum_eb))
-    n_exit = np.shape(cum_ea)[-1]
+    tables = [_columns(c) for c in cums]
     stream = _Stream(min(CHUNK, trials))
-    out = np.empty((4, trials), dtype=np.int64)
+    block = np.empty((4, min(CHUNK, trials)), dtype=np.int64)
     for start in range(0, trials, CHUNK):
         seeds = trial_seeds(int(master_seed), min(CHUNK, trials - start), start)
-        va, vb, ea, eb = out[:, start : start + len(seeds)]
-        va[:] = _pick(cva, 0, stream.uniform(seeds, 0))
-        vb[:] = _pick(cvb, va, stream.uniform(seeds, 1))
-        row = 2 * va + vb  # flat row of the exit_A table
-        ea[:] = _pick(cea, row, stream.uniform(seeds, 2))
-        eb[:] = _pick(ceb, row * n_exit + ea, stream.uniform(seeds, 3))
-    return out.T
+        yield start, seeds, protocol_outcomes(tables, seeds, stream, block[:, : len(seeds)])
+
+
+def protocol_outcomes(
+    tables: list, seeds: np.ndarray, stream: _Stream, out: np.ndarray
+) -> np.ndarray:
+    """Stage outcomes of the trials with these seeds, written into the
+    rows of ``out`` (shape (4, len(seeds))) and returned.
+
+    Rows: value_A, value_B, exit_A, exit_B (exit index = 2*rank +
+    value in canonical orientation order).  ``tables`` holds the four
+    stages' ``_columns``.  A trial consumes uniforms 0..3 of its
+    stream, one per stage in recorded order.
+    """
+    cva, cvb, cea, ceb = tables
+    va, vb, ea, eb = out
+    va[:] = _pick(cva, 0, stream.uniform(seeds, 0))
+    vb[:] = _pick(cvb, va, stream.uniform(seeds, 1))
+    row = 2 * va + vb  # flat row of the exit_A table
+    ea[:] = _pick(cea, row, stream.uniform(seeds, 2))
+    n_exit = len(cea) + 1  # exit_A outcomes: one per column, plus the pinned last one
+    eb[:] = _pick(ceb, row * n_exit + ea, stream.uniform(seeds, 3))
+    return out

@@ -12,14 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Iterable
 from pathlib import Path
 
 from .experiments import (
     ExperimentConfig,
     json_report_text,
     metadata,
-    record_chunks,
     run_epr,
     run_erasure,
     run_interference,
@@ -112,14 +110,13 @@ def _load_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict({**data, **flags, "protocol": protocol})
 
 
-def _emit(text: str | Iterable[str], path: str | None) -> None:
-    """Write one text, or a stream of text chunks, to ``path`` or stdout."""
-    chunks = [text] if isinstance(text, str) else text
+def _emit(text: str, path: str | None) -> None:
+    """Write ``text`` to ``path``, or to stdout when there is none."""
     if path is None:
-        sys.stdout.writelines(chunks)
+        sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as out:
-            out.writelines(chunks)
+            out.write(text)
 
 
 def records_path(table_path: str) -> str:
@@ -137,14 +134,15 @@ def main(argv=None) -> int:
         if args.command == "epr":
             table = run_epr(config)
             _emit(table.to_csv_text(metadata(config)), config.output_path)
+        elif args.command == "toolate" and config.output_path is None:
+            _emit(run_toolate(config).to_csv_text(metadata(config)), None)
         elif args.command == "toolate":
-            table, outcomes = run_toolate(config)
-            _emit(table.to_csv_text(metadata(config)), config.output_path)
-            if config.output_path is not None:
-                _emit(
-                    record_chunks(config.trine(), outcomes, metadata(config)),
-                    records_path(config.output_path),
-                )
+            # records are written while sampling, before the table; opening
+            # the table first makes a bad --out fail before any records file
+            with open(config.output_path, "w", encoding="utf-8") as table_out, open(
+                records_path(config.output_path), "w", encoding="utf-8"
+            ) as records:
+                table_out.write(run_toolate(config, records).to_csv_text(metadata(config)))
         elif args.command == "interfere":
             _emit(json_report_text(run_interference(config)), config.output_path)
         elif args.command == "erase":

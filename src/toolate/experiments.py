@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from dataclasses import dataclass, field, fields
-from typing import Any, Iterator
+from typing import Any, TextIO
 
 import numpy as np
 
@@ -111,6 +112,8 @@ class ExperimentConfig:
             raise ValueError("this protocol needs exactly three angles")
         if len(set(angles)) != len(angles):
             raise ValueError("angles must be distinct")
+        if not chsh:
+            Trine.from_degrees(angles)  # raises if two orientations coincide modulo 360
         object.__setattr__(self, "angles_deg", angles)
         object.__setattr__(self, "port_binding", tuple(self.port_binding))
         object.__setattr__(self, "threshold", float(self.threshold))
@@ -259,11 +262,9 @@ def _exact_protocol_tables(tree: StageConditionals):
     return p_values, cond, marg_a, marg_b
 
 
-def _sample_tree(tree: StageConditionals, trials: int, master_seed: int) -> np.ndarray:
+def _outcome_chunks(tree: StageConditionals, trials: int, master_seed: int):
     stages = (tree.p_value_a, tree.p_value_b, tree.p_exit_a, tree.p_exit_b)
-    return _kernels.protocol_outcomes(
-        *(_kernels.cumulative(p) for p in stages), master_seed, trials
-    )
+    return _kernels.protocol_chunks([_kernels.cumulative(p) for p in stages], master_seed, trials)
 
 
 def sample_protocol(trine: Trine, trials: int, master_seed: int) -> np.ndarray:
@@ -272,23 +273,22 @@ def sample_protocol(trine: Trine, trials: int, master_seed: int) -> np.ndarray:
     Stage conditionals are projected out of the prepared state once;
     each trial then consumes one uniform per stage in recorded order,
     which reproduces sequential collapse draw for draw (tested against
-    the explicit slow path).
+    the explicit slow path).  The chunks ``run_toolate`` tabulates,
+    gathered into one (trials, 4) array.
     """
-    return _sample_tree(stage_conditionals(trine), trials, master_seed)
+    chunks = _outcome_chunks(stage_conditionals(trine), trials, master_seed)
+    blocks = [outcomes.copy() for _, _, outcomes in chunks]
+    return np.concatenate([np.empty((4, 0), dtype=np.int64), *blocks], axis=1).T
 
 
-def _cells(outcomes: np.ndarray) -> np.ndarray:
-    """Flat index ((value_A*2 + value_B)*3 + rank_A)*3 + rank_B of each row,
-    where rank = exit // 2 is the orientation's place in the trine."""
-    va, vb, ea, eb = outcomes.T
-    return ((va * 2 + vb) * 3 + ea // 2) * 3 + eb // 2
-
-
-def run_toolate(config: ExperimentConfig) -> tuple[EstimateTable, np.ndarray]:
+def run_toolate(config: ExperimentConfig, records: TextIO | None = None) -> EstimateTable:
     """Value-first protocol: exact stage statistics plus Monte Carlo.
 
-    Returns the estimate table and the raw outcome array (trials x 4);
-    use ``record_chunks`` to serialize the outcome stream.
+    A trial enters the table, and the records, only through its cell
+    6*exit_A + exit_B, which fixes both values and both orientations.
+    Each chunk is tabulated and, when a ``records`` text stream is
+    given, written to it while in hand: the metadata line first, then
+    ``records_text`` of each chunk.
     """
     if config.protocol != "toolate":
         raise ValueError("run_toolate needs protocol toolate")
@@ -298,99 +298,71 @@ def run_toolate(config: ExperimentConfig) -> tuple[EstimateTable, np.ndarray]:
     p_values, cond, marg_a, marg_b = _exact_protocol_tables(tree)
 
     n = config.trials
-    outcomes = _sample_tree(tree, n, config.master_seed)
-    ccounts = np.bincount(_cells(outcomes), minlength=36).reshape(2, 2, 3, 3)
+    if records is not None:
+        meta = json.dumps({"meta": metadata(config)}, sort_keys=True, separators=(",", ":"))
+        records.write(meta + "\n")
+        tails = record_tails(trine)
+    counts = np.zeros(36, dtype=np.int64)
+    cells = np.empty(min(n, _kernels.CHUNK), dtype=np.int64)
+    for start, seeds, (_, _, ea, eb) in _outcome_chunks(tree, n, config.master_seed):
+        cell = cells[: len(seeds)]
+        np.multiply(ea, 6, out=cell)
+        cell += eb
+        counts += np.bincount(cell, minlength=36)
+        if records is not None:
+            records.write(records_text(tails, start, seeds, cell))
+    # exit index 2*rank + value: [rA, vA, rB, vB] -> [vA, vB, rA, rB]
+    ccounts = counts.reshape(3, 2, 3, 2).transpose(1, 3, 0, 2)
     vcounts = ccounts.sum(axis=(2, 3))
 
+    pairs = [(va, vb, f"vA={va.label},vB={vb.label}") for va in SpinValue for vb in SpinValue]
+    rows = [(f"P({given})", p_values[va, vb], vcounts[va, vb], n) for va, vb, given in pairs]
+    rows += [
+        (f"P(oA={degs[ra]},oB={degs[rb]}|{given})", cond[va, vb, ra, rb],
+         ccounts[va, vb, ra, rb], vcounts[va, vb])
+        for va, vb, given in pairs for ra in range(3) for rb in range(3)
+    ]
+    rows += [(f"P(oA={degs[r]})", marg_a[r], ccounts[:, :, r, :].sum(), n) for r in range(3)]
+    rows += [(f"P(oB={degs[r]})", marg_b[r], ccounts[:, :, :, r].sum(), n) for r in range(3)]
     table = EstimateTable()
-
-    def freq_row(label, exact, count, total):
+    for label, exact, count, total in rows:
+        count, total = int(count), int(total)
         if total > 0:
             est = count / total
-            err = math.sqrt(est * (1.0 - est) / total)
-            table.add(label, exact=exact, estimate=est, stderr=err, n=total)
+            table.add(label, exact, est, math.sqrt(est * (1.0 - est) / total), total)
         else:
             table.add(label, exact=exact, n=0)
-
-    for va in SpinValue:
-        for vb in SpinValue:
-            freq_row(
-                f"P(vA={va.label},vB={vb.label})",
-                p_values[va, vb],
-                int(vcounts[va, vb]),
-                n,
-            )
-    for va in SpinValue:
-        for vb in SpinValue:
-            n_cond = int(vcounts[va, vb])
-            for ra in range(3):
-                for rb in range(3):
-                    freq_row(
-                        f"P(oA={degs[ra]},oB={degs[rb]}|vA={va.label},vB={vb.label})",
-                        cond[va, vb, ra, rb],
-                        int(ccounts[va, vb, ra, rb]),
-                        n_cond,
-                    )
-    for ra in range(3):
-        freq_row(
-            f"P(oA={degs[ra]})",
-            marg_a[ra],
-            int(ccounts[:, :, ra, :].sum()),
-            n,
-        )
-    for rb in range(3):
-        freq_row(
-            f"P(oB={degs[rb]})",
-            marg_b[rb],
-            int(ccounts[:, :, :, rb].sum()),
-            n,
-        )
-    return table, outcomes
+    return table
 
 
-def records_text(
-    trine: Trine, outcomes: np.ndarray, master_seed: int, start: int = 0
-) -> str:
-    """One compact JSON line per outcome row, for trials start, start + 1, ...
-
-    A record's fields after "seed" depend only on its ``_cells`` index,
-    so the 36 possible tails are rendered once and only the trial and
-    seed are formatted per line.
-    """
+def record_tails(trine: Trine) -> list[str]:
+    """A record's fields after "seed", for each cell 6*exit_A + exit_B:
+    the 36 possible tails of a line, each ending in a newline."""
     degs = [degrees_of(t) for t in trine.orientations]
     values = (SpinValue.UP.label, SpinValue.DOWN.label)
-    tails = [
+    return [
         json.dumps(
             {
-                "value_A": values[va],
-                "value_B": values[vb],
-                "orient_A": degs[ra],
-                "orient_B": degs[rb],
+                "value_A": values[ea % 2],
+                "value_B": values[eb % 2],
+                "orient_A": degs[ea // 2],
+                "orient_B": degs[eb // 2],
             },
             separators=(",", ":"),
         )[1:]
         + "\n"
-        for va, vb, ra, rb in np.ndindex(2, 2, 3, 3)
+        for ea, eb in np.ndindex(6, 6)
     ]
-    trials = range(start, start + len(outcomes))
-    seeds = _kernels.trial_seeds(master_seed, len(outcomes), start).tolist()
-    return "".join(
-        [
-            f'{{"trial":{i},"seed":{seed},{tails[cell]}'
-            for i, seed, cell in zip(trials, seeds, _cells(outcomes).tolist())
-        ]
-    )
 
 
-def record_chunks(
-    trine: Trine, outcomes: np.ndarray, meta: dict[str, Any]
-) -> Iterator[str]:
-    """The outcome stream as JSON lines: the metadata line, then
-    ``records_text`` of each run of ``_kernels.CHUNK`` trials."""
-    yield json.dumps({"meta": meta}, sort_keys=True, separators=(",", ":")) + "\n"
-    for start in range(0, len(outcomes), _kernels.CHUNK):
-        chunk = outcomes[start : start + _kernels.CHUNK]
-        yield records_text(trine, chunk, meta["master_seed"], start)
+def records_text(tails: list[str], start: int, seeds: np.ndarray, cells: np.ndarray) -> str:
+    """One compact JSON line per trial, for trials start, start + 1, ...
+    with these seeds and cells.  The chunk is one %-format: only the
+    trial and the seed are formatted, the rest of a line is its cell's
+    entry in ``tails``."""
+    trials = range(start, start + len(seeds))
+    fields = zip(trials, seeds.tolist(), map(tails.__getitem__, cells.tolist()))
+    return ('{"trial":%d,"seed":%d,%s' * len(seeds)) % tuple(chain.from_iterable(fields))
 
 
 # --- interference and erasure runs ---------------------------------------------
@@ -593,12 +565,25 @@ def _check(checks: list, name: str, ok: bool, detail: str) -> None:
     checks.append({"name": name, "pass": bool(ok), "detail": detail})
 
 
+# checks of closed forms (1/4, 1/6, 4/9) that hold only when the orientations are 120 degrees apart
+_CLOSED_FORMS_120 = ("value_pairs_quarter", "conditional_orientation_anticorrelation",
+                     "recombination_ports", "interference_discrimination")
+
+
+def _is_120_trine(trine: Trine) -> bool:
+    """Whether the orientations are 120 degrees apart (to 1e-12 rad), in any rotation."""
+    a, b, c = trine.orientations
+    gaps = (b - a, c - b, a + 2.0 * math.pi - c)
+    return all(abs(gap - 2.0 * math.pi / 3.0) <= 1e-12 for gap in gaps)
+
+
 def run_verify(config: ExperimentConfig) -> tuple[dict[str, Any], bool]:
     """Analytic invariant sweep plus the state audit.
 
-    Gates only on invariants a correct build can satisfy; quantities
-    the audit merely reports (the pair and joint overlaps with derived
-    states) are included in the payload but do not affect the verdict.
+    Gates only on invariants a correct build can satisfy for the given
+    trine; quantities the audit merely reports (the pair and joint
+    overlaps, and the 120-degree closed forms on any other trine) are
+    included in the payload but do not affect the verdict.
     """
     trine = config.trine()
     report = verify_states(trine)
@@ -706,14 +691,18 @@ def run_verify(config: ExperimentConfig) -> tuple[dict[str, Any], bool]:
     _check(checks, "port_binding_invariance", perm_err <= 1e-12,
            f"statistics unchanged under all port re-bindings (worst {perm_err:.2e})")
 
+    reported_only = {
+        "pair_up_up_fidelity_vs_oracle": eq["pair_up_up"]["fidelity_vs_oracle"],
+        "joint_fidelity_vs_oracle": eq["joint_all_values"]["fidelity_vs_oracle"],
+    }
+    if not _is_120_trine(trine):
+        reported_only["checks"] = [c for c in checks if c["name"] in _CLOSED_FORMS_120]
+        checks = [c for c in checks if c["name"] not in _CLOSED_FORMS_120]
     payload = {
         "meta": metadata(config),
         "audit": report.to_dict(),
         "checks": checks,
-        "reported_only": {
-            "pair_up_up_fidelity_vs_oracle": eq["pair_up_up"]["fidelity_vs_oracle"],
-            "joint_fidelity_vs_oracle": eq["joint_all_values"]["fidelity_vs_oracle"],
-        },
+        "reported_only": reported_only,
     }
     ok = all(c["pass"] for c in checks)
     payload["ok"] = ok

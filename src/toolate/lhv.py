@@ -83,22 +83,14 @@ class ConspiracyModel:
     @classmethod
     def from_exit_table(cls, dist: np.ndarray) -> "ConspiracyModel":
         """Copy a quantum joint exit table into a source-fixed model."""
-        d = np.asarray(dist, dtype=float).reshape(6, 6)
-        table = np.zeros((PATH_DIM, PATH_DIM, 2, 2))
-        for ea in range(6):
-            for eb in range(6):
-                table[ea // 2, eb // 2, ea % 2, eb % 2] = d[ea, eb]
-        return cls(table)
+        # exit index 2*rank + value: [ea, eb] -> [oa, va, ob, vb] -> [oa, ob, va, vb];
+        # copied to C order, because the order of a sum over the table follows its layout
+        d = np.asarray(dist, dtype=float).reshape(PATH_DIM, 2, PATH_DIM, 2)
+        return cls(np.ascontiguousarray(d.transpose(0, 2, 1, 3)))
 
     def exit_table(self) -> np.ndarray:
         """The model's joint exit-pair distribution, shape (6, 6)."""
-        out = np.zeros((6, 6))
-        for oa in range(PATH_DIM):
-            for ob in range(PATH_DIM):
-                for va in range(2):
-                    for vb in range(2):
-                        out[2 * oa + va, 2 * ob + vb] = self.table[oa, ob, va, vb]
-        return out
+        return self.table.transpose(0, 2, 1, 3).reshape(2 * PATH_DIM, 2 * PATH_DIM)
 
 
 def conspiracy_predictions(

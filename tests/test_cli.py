@@ -1,12 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from oracles import records_text_reference
+import toolate
 from toolate._kernels import CHUNK
 from toolate.cli import main, records_path
 from toolate.experiments import ExperimentConfig, metadata, sample_protocol
@@ -83,6 +89,42 @@ def test_verify_writes_report_and_exits_zero(tmp_path):
     assert payload["audit"]["equations"]
 
 
+CLOSED_FORMS_120 = {
+    "value_pairs_quarter",
+    "conditional_orientation_anticorrelation",
+    "recombination_ports",
+    "interference_discrimination",
+}
+
+
+@pytest.mark.parametrize("binding", ["0,1,2", "2,0,1"])
+@pytest.mark.parametrize(
+    "angles, apart_120",
+    [
+        ("0,90,200", False),
+        ("0,0.1,240", False),
+        ("0,1e-13,240", False),
+        ("0,120,240.0000001", False),
+        ("10,130,250", True),
+        ("-120,0,120", True),
+        ("0,240,120", True),
+    ],
+)
+def test_verify_gates_closed_forms_only_on_120_degree_trines(capsys, angles, binding, apart_120):
+    assert main(["verify", f"--angles={angles}", "--port-binding", binding]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    gated = {c["name"] for c in payload["checks"]}
+    reported = {c["name"]: c["pass"] for c in payload["reported_only"].get("checks", [])}
+    assert payload["ok"] is True and all(c["pass"] for c in payload["checks"])
+    if apart_120:
+        assert CLOSED_FORMS_120 <= gated and reported == {}
+    else:
+        # every other check still gates; the closed forms are reported, and
+        # some fail (1/4 still holds to 1e-12 on 0,120,240.0000001)
+        assert len(gated) == 8 and not gated & CLOSED_FORMS_120
+        assert set(reported) == CLOSED_FORMS_120 and not all(reported.values())
+
+
 def test_verify_failure_maps_to_exit_two(tmp_path, monkeypatch):
     import toolate.cli as cli_module
 
@@ -137,6 +179,16 @@ def test_unwritable_output_is_io_error(tmp_path):
     assert main(["epr", "--trials", "0", "--out", str(target)]) == 3
 
 
+def test_directory_as_out_fails_before_any_records_file(tmp_path, capsys):
+    # records are written while sampling, so the table's target must be opened first
+    target = tmp_path / "out"
+    target.mkdir()
+    assert main(["toolate", "--trials", "10", "--out", str(target)]) == 3
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("toolate:")]
+    assert len(errors) == 1 and errors[0].startswith("toolate: i/o error:")
+    assert list(tmp_path.rglob("*.records.jsonl")) == []
+
+
 def test_bad_angles_value(capsys):
     assert main(["epr", "--angles", "0,90,x,135"]) == 1
 
@@ -159,6 +211,7 @@ def test_bad_port_binding(capsys):
         (None, ["verify", "--angles", "0,120,nan"], "angles"),
         (None, ["epr", "--angles", "0,90,nan,135"], "angles"),
         (None, ["verify", "--angles", "0,90,45,135"], "angles"),
+        (None, ["toolate", "--angles", "0,360,120"], "distinct"),
         ('{"trials": null}', ["verify"], "trials"),
         ('{"trials": 1.7}', ["toolate"], "trials"),
         ('{"trials": true}', ["toolate"], "trials"),
@@ -179,6 +232,7 @@ def test_bad_port_binding(capsys):
         "angles-nan",
         "chsh-angles-nan",
         "verify-four-angles",
+        "toolate-orientations-equal-modulo-360",
         "trials-null",
         "trials-fraction",
         "trials-bool",
@@ -209,6 +263,8 @@ PINNED = {
     "toolate stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "epr stdout": "6b08f55d1ac769deebb095a5c7a34c3c9478615088aa0098dad519919387bdcc",
     "verify stdout": "ee5895db8b262568e39ce856ce621ad52fad7d7e020885db37f8f1f8d4ceacb8",
+    "lhv stdout": "eb30cc04f471aa28b7c6cfe80ed24865a22c891e6b16c3d1f7aa78b8aead96d1",
+    "interfere stdout": "a7b0f6f46162731edb7e874079ae22d244fb767901d5a2e60f3ec1e73266b856",
     # 131073 = 2 * 65536 + 1 trials: three chunks, the last of one trial
     "toolate 131073 run.csv": "ff7114b14be46a1af47c506de9fc3e9a5ee3fcad95af75500530ec0f5cdf1f41",
     "toolate 131073 run.records.jsonl":
@@ -225,6 +281,8 @@ def test_artifacts_match_pinned_hashes(tmp_path, monkeypatch, capsys):
         ["toolate", "--trials", "20000", "--seed", "42", "--out", "run.csv"],
         ["epr", "--trials", "20000", "--seed", "42"],
         ["verify"],
+        ["lhv"],
+        ["interfere"],
     ):
         assert main(argv) == 0
         got[f"{argv[0]} stdout"] = sha(capsys.readouterr().out.encode("utf-8"))
@@ -255,9 +313,10 @@ def test_streamed_records_match_whole_text_reference(tmp_path, monkeypatch, tria
 
 
 def test_records_run_holds_a_bounded_python_heap(tmp_path):
-    # 300000 trials make 33 MB of records text and a 9.6 MB outcome array.
-    # Written in chunks, the traced peak is the array plus about one
-    # chunk's lines and text: 31 MB.  Built whole, it was 127 MB.
+    # 300000 trials make 33 MB of records text.  Written while sampling,
+    # one chunk at a time, the traced peak is about one chunk's fields and
+    # text: 21 MB.  With a whole outcome array it was 31 MB, and with the
+    # whole text built first, 127 MB.
     tracemalloc.start()
     try:
         code = main(["toolate", "--trials", "300000", "--out", str(tmp_path / "run.csv")])
@@ -265,4 +324,45 @@ def test_records_run_holds_a_bounded_python_heap(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak < 48e6
+    assert peak < 32e6
+
+
+def test_table_run_holds_a_bounded_python_heap():
+    # tabulated chunk by chunk, 1e6 trials peak near 8 MB traced; a
+    # (trials, 4) int64 outcome array and its cell index made it 48 MB
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["toolate", "--trials", "1000000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16e6
+
+
+# Linux carries the forking process's peak into a child's ru_maxrss across
+# exec, so the child reads the peak of its own image, VmHWM, instead
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_table_run_peak_rss_does_not_grow_with_trials():
+    # the whole process, numpy included, peaks near 40 MB at any trial
+    # count; a (4e6, 4) int64 outcome array alone would be 128 MB
+    child = (
+        "import sys\n"
+        "from toolate.cli import main\n"
+        "code = main(['toolate', '--trials', '4000000'])\n"
+        "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+        "print(code, hwm.split()[1], file=sys.stderr)\n"
+    )
+    src = str(Path(toolate.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", child],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, peak_kb = proc.stderr.split()
+    assert code == "0"
+    assert int(peak_kb) / 1024 < 100

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -10,7 +11,7 @@ from toolate.experiments import (
     _gamma_q,
     chi_square,
     metadata,
-    record_chunks,
+    record_tails,
     records_text,
     run_epr,
     run_erasure,
@@ -18,7 +19,9 @@ from toolate.experiments import (
     run_lhv_compare,
     run_toolate,
     run_verify,
+    sample_protocol,
 )
+from toolate._kernels import trial_seeds
 from toolate.protocol import degrees_of
 from toolate.rng import trial_seed
 
@@ -98,8 +101,11 @@ class TestRunEpr:
 
 class TestRunToolate:
     def test_exact_columns(self):
-        table, outcomes = run_toolate(ExperimentConfig(protocol="toolate", trials=0))
-        assert outcomes.shape == (0, 4)
+        config = ExperimentConfig(protocol="toolate", trials=0)
+        records = io.StringIO()
+        table = run_toolate(config, records)
+        assert sample_protocol(config.trine(), 0, 0).shape == (0, 4)
+        assert records.getvalue().count("\n") == 1  # the metadata line, no records
         by_label = {r.label: r for r in table.rows}
         assert abs(by_label["P(vA=up,vB=up)"].exact - 0.25) < 1e-12
         assert by_label["P(oA=0,oB=0|vA=up,vB=up)"].exact == 0.0
@@ -108,9 +114,7 @@ class TestRunToolate:
         assert abs(by_label["P(oB=240)"].exact - 1 / 3) < 1e-12
 
     def test_monte_carlo_consistency(self):
-        table, outcomes = run_toolate(
-            ExperimentConfig(protocol="toolate", trials=50000, master_seed=21)
-        )
+        table = run_toolate(ExperimentConfig(protocol="toolate", trials=50000, master_seed=21))
         by_label = {r.label: r for r in table.rows}
         for va in ("up", "down"):
             for vb in ("up", "down"):
@@ -123,10 +127,9 @@ class TestRunToolate:
 
     def test_records_text_fields(self, trine):
         config = ExperimentConfig(protocol="toolate", trials=5, master_seed=1)
-        _, outcomes = run_toolate(config)
-        chunks = list(record_chunks(config.trine(), outcomes, metadata(config)))
-        assert all(isinstance(chunk, str) for chunk in chunks)
-        lines = "".join(chunks).strip().split("\n")
+        records = io.StringIO()
+        run_toolate(config, records)
+        lines = records.getvalue().strip().split("\n")
         assert len(lines) == 6
         assert "meta" in json.loads(lines[0])
         record = json.loads(lines[1])
@@ -137,8 +140,12 @@ class TestRunToolate:
             record = json.loads(line)
             assert record["trial"] == i
             assert record["seed"] == trial_seed(1, record["trial"])
-        # one chunk's text, numbered from its first trial
-        tail = records_text(config.trine(), outcomes[2:], 1, start=2)
+        assert json.loads(lines[0]) == {"meta": metadata(config)}
+        # one chunk's text, numbered from its first trial; the cell is 6*exit_A + exit_B
+        outcomes = sample_protocol(config.trine(), 5, 1)
+        cells = outcomes[2:, 2] * 6 + outcomes[2:, 3]
+        tail = records_text(record_tails(config.trine()), 2, trial_seeds(1, 3, 2), cells)
+        assert isinstance(tail, str)
         assert tail == "\n".join(lines[3:]) + "\n"
 
 

@@ -97,8 +97,10 @@ def test_protocol_outcomes_match_gather_reference(angles, binding, seed):
     tree = stage_conditionals(trine)
     cums = [_kernels.cumulative(p)
             for p in (tree.p_value_a, tree.p_value_b, tree.p_exit_a, tree.p_exit_b)]
-    got = _kernels.protocol_outcomes(*cums, seed, SWEEP_TRIALS)
+    got = sample_protocol(trine, SWEEP_TRIALS, seed)
     assert np.array_equal(got, protocol_outcomes_reference(*cums, seed, SWEEP_TRIALS))
+    # an exit carries the value sampled before it, so 6*exit_A + exit_B fixes all four stages
+    assert np.array_equal(got[:, 2] % 2, got[:, 0]) and np.array_equal(got[:, 3] % 2, got[:, 1])
 
 
 @pytest.mark.parametrize("seed", [42, 2**63 + 5])

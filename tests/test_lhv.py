@@ -46,6 +46,16 @@ class TestConspiracy:
         exit_table, _ = conspiracy_predictions(model, trine)
         np.testing.assert_allclose(exit_table, quantum, atol=1e-15)
 
+    def test_exit_table_round_trip_keeps_every_axis(self, rand):
+        # a random, non-symmetric table, so a swapped axis cannot hide
+        raw = rand.uniform(0, 1, size=(3, 3, 2, 2))
+        table = raw / raw.sum()
+        exits = ConspiracyModel(table).exit_table()
+        assert exits.shape == (6, 6)
+        for oa, ob, va, vb in np.ndindex(3, 3, 2, 2):
+            assert exits[2 * oa + va, 2 * ob + vb] == table[oa, ob, va, vb]
+        assert np.array_equal(ConspiracyModel.from_exit_table(exits).table, table)
+
     def test_every_model_recombines_uniformly(self, trine, rand):
         for _ in range(20):
             raw = rand.uniform(0, 1, size=(3, 3, 2, 2))
