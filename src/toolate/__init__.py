@@ -19,7 +19,6 @@ from .experiments import (
     EstimateRow,
     EstimateTable,
     ExperimentConfig,
-    chi_square,
     run_epr,
     run_erasure,
     run_interference,

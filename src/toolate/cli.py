@@ -124,6 +124,24 @@ def records_path(table_path: str) -> str:
     return str(p.with_suffix("")) + ".records.jsonl"
 
 
+def _write_run(config: ExperimentConfig) -> None:
+    """Write a toolate run's table to ``config.output_path`` and its
+    records beside it.  Records are written while sampling, before the
+    table; opening the table first makes a bad --out fail before any
+    records file.  A failed write removes the files it opened."""
+    opened = []
+    try:
+        with open(config.output_path, "w", encoding="utf-8") as table_out:
+            opened.append(config.output_path)
+            with open(records_path(config.output_path), "w", encoding="utf-8") as records:
+                opened.append(records.name)
+                table_out.write(run_toolate(config, records).to_csv_text(metadata(config)))
+    except OSError:
+        for path in opened:
+            Path(path).unlink(missing_ok=True)
+        raise
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -137,12 +155,7 @@ def main(argv=None) -> int:
         elif args.command == "toolate" and config.output_path is None:
             _emit(run_toolate(config).to_csv_text(metadata(config)), None)
         elif args.command == "toolate":
-            # records are written while sampling, before the table; opening
-            # the table first makes a bad --out fail before any records file
-            with open(config.output_path, "w", encoding="utf-8") as table_out, open(
-                records_path(config.output_path), "w", encoding="utf-8"
-            ) as records:
-                table_out.write(run_toolate(config, records).to_csv_text(metadata(config)))
+            _write_run(config)
         elif args.command == "interfere":
             _emit(json_report_text(run_interference(config)), config.output_path)
         elif args.command == "erase":

@@ -68,12 +68,11 @@ class ExperimentConfig:
     """One experiment's inputs.  Angles are degrees at this boundary
     (they arrive from people); everything internal works in radians.
 
-    The field list is the config-file schema: each field's file key is
-    its name, or the ``key`` in its metadata.  Values are type-checked
+    The field names are the config-file keys.  Values are type-checked
     here, whether they come from a file, a flag or a caller."""
 
     protocol: str
-    angles_deg: tuple[float, ...] = field(default=(), metadata={"key": "angles"})
+    angles: tuple[float, ...] = ()
     trials: int = 0
     master_seed: int = 0
     port_binding: tuple[int, int, int] = (0, 1, 2)
@@ -98,12 +97,12 @@ class ExperimentConfig:
         ):
             raise ValueError("port_binding must be a permutation of (0, 1, 2)")
         if not (
-            isinstance(self.angles_deg, (list, tuple))
-            and all(_is_finite(a) for a in self.angles_deg)
+            isinstance(self.angles, (list, tuple))
+            and all(_is_finite(a) for a in self.angles)
         ):
             raise ValueError("angles must be a list of finite numbers (degrees)")
         chsh = self.protocol in ("epr_standard", "lhv_compare")
-        angles = tuple(float(a) for a in self.angles_deg)
+        angles = tuple(float(a) for a in self.angles)
         if not angles:
             angles = _CHSH_DEFAULT_DEG if chsh else _TRINE_DEFAULT_DEG
         if chsh and len(angles) != 4:
@@ -114,34 +113,31 @@ class ExperimentConfig:
             raise ValueError("angles must be distinct")
         if not chsh:
             Trine.from_degrees(angles)  # raises if two orientations coincide modulo 360
-        object.__setattr__(self, "angles_deg", angles)
+        object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "port_binding", tuple(self.port_binding))
         object.__setattr__(self, "threshold", float(self.threshold))
 
     def trine(self) -> Trine:
-        ordered = Trine.from_degrees(self.angles_deg)
+        ordered = Trine.from_degrees(self.angles)
         return ordered.permuted(self.port_binding)
 
     def chsh_angles(self) -> tuple[float, float, float, float]:
-        return tuple(math.radians(a) for a in self.angles_deg)  # type: ignore[return-value]
+        return tuple(math.radians(a) for a in self.angles)  # type: ignore[return-value]
 
     def to_dict(self) -> dict[str, Any]:
         """The config as file keys and JSON values, as echoed in metadata."""
         out = {}
-        for key, name in _FIELD_OF_KEY.items():
-            value = getattr(self, name)
-            out[key] = list(value) if isinstance(value, tuple) else value
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = list(value) if isinstance(value, tuple) else value
         return out
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ExperimentConfig":
-        unknown = set(data) - set(_FIELD_OF_KEY)
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**{_FIELD_OF_KEY[key]: value for key, value in data.items()})
-
-
-_FIELD_OF_KEY = {f.metadata.get("key", f.name): f.name for f in fields(ExperimentConfig)}
+        return cls(**data)
 
 
 def metadata(config: ExperimentConfig) -> dict[str, Any]:
@@ -437,7 +433,7 @@ def run_lhv_compare(config: ExperimentConfig) -> dict[str, Any]:
         raise ValueError("run_lhv_compare needs protocol lhv_compare")
     a, a2, b, b2 = config.chsh_angles()
     s_quantum = chsh_value(a, a2, b, b2)
-    lhv_max, best = enumerate_chsh_max(a, a2, b, b2)
+    lhv_max, best = enumerate_chsh_max()
 
     trine = Trine.default().permuted(config.port_binding)
     quantum_ports = recombine(literal_value_state(SpinValue.UP, trine)[0])
@@ -466,96 +462,6 @@ def run_lhv_compare(config: ExperimentConfig) -> dict[str, Any]:
         },
         "conspiracy": models,
     }
-
-
-# --- chi-square -----------------------------------------------------------------
-
-
-def _gamma_q(s: float, x: float, rel_tol: float = 1e-8, max_iter: int = 500) -> float:
-    """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x)/Gamma(s)."""
-    if s <= 0.0 or x < 0.0:
-        raise ValueError("need s > 0 and x >= 0")
-    if x == 0.0:
-        return 1.0
-    if math.isinf(x):
-        return 0.0
-    lg = math.lgamma(s)
-    if x < s + 1.0:
-        # series for the lower function, then complement
-        term = 1.0 / s
-        total = term
-        k = s
-        for _ in range(max_iter):
-            k += 1.0
-            term *= x / k
-            total += term
-            if abs(term) < abs(total) * rel_tol:
-                break
-        else:
-            raise RuntimeError("series for the incomplete gamma did not converge")
-        p = total * math.exp(-x + s * math.log(x) - lg)
-        return max(0.0, 1.0 - p)
-    # Lentz continued fraction for the upper function
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, max_iter + 1):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < rel_tol:
-            break
-    else:
-        raise RuntimeError("continued fraction for the incomplete gamma did not converge")
-    return min(1.0, max(0.0, h * math.exp(-x + s * math.log(x) - lg)))
-
-
-def chi_square(observed, expected) -> tuple[float, float]:
-    """Pearson statistic and tail probability.
-
-    Cells with expected count below 5 are pooled into one; the test
-    needs at least two cells after pooling.  Observations landing where
-    the expected mass is zero make the statistic infinite.
-    """
-    obs = np.asarray(observed, dtype=float).reshape(-1)
-    exp = np.asarray(expected, dtype=float).reshape(-1)
-    if obs.shape != exp.shape:
-        raise ValueError("observed and expected must have the same length")
-    if np.any(obs < 0) or np.any(exp < -1e-15):
-        raise ValueError("negative entries")
-    n = obs.sum()
-    if n <= 0:
-        raise ValueError("need at least one observation")
-    if abs(exp.sum() - 1.0) > 1e-8:
-        raise ValueError("expected probabilities must sum to 1")
-
-    expected_counts = exp * n
-    keep = expected_counts >= 5.0
-    cells = [(float(obs[i]), float(expected_counts[i])) for i in range(obs.size) if keep[i]]
-    pooled_obs = float(obs[~keep].sum())
-    pooled_exp = float(expected_counts[~keep].sum())
-    if not np.all(keep):
-        if pooled_exp == 0.0:
-            if pooled_obs > 0.0:
-                return math.inf, 0.0
-        else:
-            cells.append((pooled_obs, pooled_exp))
-    if len(cells) < 2:
-        raise ValueError("all cells pooled away; too few observations for the test")
-
-    stat = sum((o - e) ** 2 / e for o, e in cells)
-    dof = len(cells) - 1
-    return float(stat), _gamma_q(dof / 2.0, stat / 2.0)
 
 
 # --- verification ---------------------------------------------------------------
@@ -663,7 +569,7 @@ def run_verify(config: ExperimentConfig) -> tuple[dict[str, Any], bool]:
            "definite-path mixtures stay separable")
 
     s = chsh_value(*(math.radians(d) for d in _CHSH_DEFAULT_DEG))
-    lhv_max, _ = enumerate_chsh_max(*(math.radians(d) for d in _CHSH_DEFAULT_DEG))
+    lhv_max, _ = enumerate_chsh_max()
     grid = np.radians(np.arange(0.0, 360.0, 15.0))
     corr_err = max(
         abs(correlation_exact(x, y) + math.cos(x - y)) for x in grid for y in grid

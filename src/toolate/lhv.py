@@ -35,15 +35,13 @@ class DeterministicStrategy:
         return self.a * self.b - self.a * self.b2 + self.a2 * self.b + self.a2 * self.b2
 
 
-def enumerate_chsh_max(
-    a: float, a2: float, b: float, b2: float
-) -> tuple[float, DeterministicStrategy]:
+def enumerate_chsh_max() -> tuple[float, DeterministicStrategy]:
     """Exhaustive maximum of |S| over all 16 deterministic strategies.
 
-    The angles only label the settings; deterministic assignments make S
-    a pure sign combination, so the maximum is exactly 2 for any angles.
+    Deterministic assignments make S a pure sign combination, so the
+    setting angles do not enter and the maximum is exactly 2 for any of
+    them.
     """
-    del a, a2, b, b2  # settings are labels here; S depends only on signs
     best = None
     best_s = -1
     for signs in itertools.product((1, -1), repeat=4):

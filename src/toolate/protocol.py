@@ -15,15 +15,12 @@ spin value.  Exits are enumerated by ascending orientation angle, not
 by port, so every tabulated statistic is invariant under re-binding of
 ports to orientations; the port is recovered through the trine when a
 spatial mode is needed.
-
-Protocol stages are tagged t1 (beam split), t2 (value measurement),
-t3 (orientation measurement); records keep them in that order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -37,10 +34,6 @@ SPIN_DIM = 2
 PARTICLE_DIM = PATH_DIM * SPIN_DIM
 JOINT_DIM = PARTICLE_DIM * PARTICLE_DIM
 JOINT_LAYOUT = (PATH_DIM, SPIN_DIM, PATH_DIM, SPIN_DIM)
-
-STAGE_SPLIT = "t1:split"
-STAGE_VALUE = "t2:value"
-STAGE_ORIENTATION = "t3:orientation"
 
 PARTICLE_A = 0
 PARTICLE_B = 1
@@ -103,9 +96,8 @@ class ExitLabel(NamedTuple):
     def degrees(self) -> float:
         return degrees_of(self.theta)
 
-    def text(self, trine: "Trine | None" = None) -> str:
-        port = f"p{trine.port_of(self.theta) + 1}@" if trine is not None else ""
-        return f"{port}{self.degrees:g}deg:{self.value.label}"
+    def text(self, trine: Trine) -> str:
+        return f"p{trine.port_of(self.theta) + 1}@{self.degrees:g}deg:{self.value.label}"
 
 
 def exit_labels(trine: Trine) -> list[ExitLabel]:
@@ -192,23 +184,20 @@ def exit_projector(trine: Trine, particle: int, label: ExitLabel) -> np.ndarray:
 
 def measure_value(
     state: JointState, particle: int, rng: TrialRng
-) -> tuple[SpinValue, JointState, float]:
+) -> tuple[SpinValue, JointState]:
     """Measure one particle's spin value only; orientation stays superposed."""
-    partition = value_projectors(state.trine, particle)
-    index, post = qcore.sample(state.vec, partition, rng)
-    prob = qcore.projection_probability(partition[index], state.vec)
-    return SpinValue(index), JointState(post, state.trine), prob
+    index, post = qcore.sample(state.vec, value_projectors(state.trine, particle), rng)
+    return SpinValue(index), JointState(post, state.trine)
 
 
 def measure_orientation(
     state: JointState, particle: int, rng: TrialRng
-) -> tuple[ExitLabel, JointState, float]:
+) -> tuple[ExitLabel, JointState]:
     """Complete one particle's measurement by sampling its six exits."""
     labels = exit_labels(state.trine)
     partition = [exit_projector(state.trine, particle, lab) for lab in labels]
     index, post = qcore.sample(state.vec, partition, rng)
-    prob = qcore.projection_probability(partition[index], state.vec)
-    return labels[index], JointState(post, state.trine), prob
+    return labels[index], JointState(post, state.trine)
 
 
 def joint_exit_basis(trine: Trine) -> np.ndarray:
@@ -355,7 +344,7 @@ def stage_conditionals(trine: Trine) -> StageConditionals:
 
 @dataclass(frozen=True)
 class OutcomeRecord:
-    """One trial's measurement events in stage order t1 < t2 < t3."""
+    """One trial's outcomes: both values (t2), then both exits (t3)."""
 
     trial: int
     seed: int
@@ -363,9 +352,6 @@ class OutcomeRecord:
     value_b: SpinValue
     exit_a: ExitLabel
     exit_b: ExitLabel
-    stages: tuple[str, ...] = field(
-        default=(STAGE_SPLIT, STAGE_VALUE, STAGE_VALUE, STAGE_ORIENTATION, STAGE_ORIENTATION)
-    )
 
     def __post_init__(self):
         if self.exit_a.value != self.value_a or self.exit_b.value != self.value_b:
@@ -375,8 +361,8 @@ class OutcomeRecord:
 def run_trial(trine: Trine, rng: TrialRng, trial: int = 0) -> OutcomeRecord:
     """One full value-first trial via explicit state collapse (slow path)."""
     state = prepare_joint(trine)
-    value_a, state, _ = measure_value(state, PARTICLE_A, rng)
-    value_b, state, _ = measure_value(state, PARTICLE_B, rng)
-    exit_a, state, _ = measure_orientation(state, PARTICLE_A, rng)
-    exit_b, state, _ = measure_orientation(state, PARTICLE_B, rng)
+    value_a, state = measure_value(state, PARTICLE_A, rng)
+    value_b, state = measure_value(state, PARTICLE_B, rng)
+    exit_a, state = measure_orientation(state, PARTICLE_A, rng)
+    exit_b, state = measure_orientation(state, PARTICLE_B, rng)
     return OutcomeRecord(trial, rng.seed, value_a, value_b, exit_a, exit_b)

@@ -43,9 +43,9 @@ def normalize(state) -> np.ndarray:
     return arr / n
 
 
-def require_normalized(state, atol: float = ATOL) -> np.ndarray:
+def require_normalized(state) -> np.ndarray:
     arr = as_state(state)
-    if abs(np.linalg.norm(arr) - 1.0) > atol:
+    if abs(np.linalg.norm(arr) - 1.0) > ATOL:
         raise ValueError("state vector is not normalized")
     return arr
 
@@ -54,19 +54,19 @@ def dagger(op) -> np.ndarray:
     return np.asarray(op, dtype=complex).conj().T
 
 
-def is_unitary(op, atol: float = ATOL) -> bool:
+def is_unitary(op) -> bool:
     u = np.asarray(op, dtype=complex)
     return u.shape[0] == u.shape[1] and np.allclose(
-        dagger(u) @ u, np.eye(u.shape[0]), atol=atol, rtol=0.0
+        dagger(u) @ u, np.eye(u.shape[0]), atol=ATOL, rtol=0.0
     )
 
 
-def is_projector(op, atol: float = ATOL) -> bool:
+def is_projector(op) -> bool:
     p = np.asarray(op, dtype=complex)
     if p.shape[0] != p.shape[1]:
         return False
-    hermitian = np.allclose(p, dagger(p), atol=atol, rtol=0.0)
-    idempotent = np.allclose(p @ p, p, atol=atol, rtol=0.0)
+    hermitian = np.allclose(p, dagger(p), atol=ATOL, rtol=0.0)
+    idempotent = np.allclose(p @ p, p, atol=ATOL, rtol=0.0)
     return hermitian and idempotent
 
 
@@ -118,7 +118,7 @@ def project(proj, state) -> tuple[float, np.ndarray]:
     return prob, (p @ arr) / np.sqrt(prob)
 
 
-def validate_partition(partition, dim: int, atol: float = ATOL) -> list[np.ndarray]:
+def validate_partition(partition, dim: int) -> list[np.ndarray]:
     ops = [np.asarray(p, dtype=complex) for p in partition]
     if not ops:
         raise InvalidPartition("empty partition")
@@ -126,14 +126,14 @@ def validate_partition(partition, dim: int, atol: float = ATOL) -> list[np.ndarr
     for p in ops:
         if p.shape != (dim, dim):
             raise InvalidPartition("partition element has wrong shape")
-        if not is_projector(p, atol):
+        if not is_projector(p):
             raise InvalidPartition("partition element is not a projector")
         total += p
-    if not np.allclose(total, np.eye(dim), atol=atol, rtol=0.0):
+    if not np.allclose(total, np.eye(dim), atol=ATOL, rtol=0.0):
         raise InvalidPartition("partition does not sum to the identity")
     for i in range(len(ops)):
         for j in range(i + 1, len(ops)):
-            if np.max(np.abs(ops[i] @ ops[j])) > atol:
+            if np.max(np.abs(ops[i] @ ops[j])) > ATOL:
                 raise InvalidPartition("partition elements are not orthogonal")
     return ops
 

@@ -88,7 +88,7 @@ def test_criterion_02_chsh_bounds():
     s = chsh_value(*CHSH_RAD)
     if abs(abs(s) - 2 * math.sqrt(2)) > 1e-9:
         failures.append(f"|S| = {abs(s)!r} not 2*sqrt(2) within 1e-9")
-    lhv_max, _ = enumerate_chsh_max(*CHSH_RAD)
+    lhv_max, _ = enumerate_chsh_max()
     if lhv_max != 2.0:
         failures.append(f"exhaustive local maximum {lhv_max!r} differs from 2")
     conclude(2, "quantum CHSH 2*sqrt(2) against exact local bound 2", failures)

@@ -189,6 +189,29 @@ def test_directory_as_out_fails_before_any_records_file(tmp_path, capsys):
     assert list(tmp_path.rglob("*.records.jsonl")) == []
 
 
+def test_failed_run_leaves_no_table_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.records.jsonl").mkdir()
+    assert main(["toolate", "--trials", "10", "--out", "run.csv"]) == 3
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("toolate:")]
+    assert len(errors) == 1 and errors[0].startswith("toolate: i/o error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.records.jsonl"]
+
+
+def test_write_failure_while_sampling_removes_both_files(tmp_path, monkeypatch, capsys):
+    import toolate.cli as cli_module
+
+    def failing_run(config, records):
+        records.write("partial\n")
+        raise OSError("disk full")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli_module, "run_toolate", failing_run)
+    assert main(["toolate", "--trials", "10", "--out", "run.csv"]) == 3
+    assert capsys.readouterr().err == "toolate: i/o error: disk full\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_angles_value(capsys):
     assert main(["epr", "--angles", "0,90,x,135"]) == 1
 
@@ -269,7 +292,16 @@ PINNED = {
     "toolate 131073 run.csv": "ff7114b14be46a1af47c506de9fc3e9a5ee3fcad95af75500530ec0f5cdf1f41",
     "toolate 131073 run.records.jsonl":
         "948ef8e2806c785360241063e719cba0c37570601419b02b2dc27b2ccc961788",
+    "erase stdout": "d23c5d189fea1252abc016fc73b81338ca06ddacbb5ae7a8ac9beccb878edf79",
+    # a trine off the default, with ports re-bound
+    "bound toolate run.csv": "b71c712db78d48b059821b0f18e7d1b223cc4170ece0dd912ea5f636c2fce742",
+    "bound toolate run.records.jsonl":
+        "25e7de4df54fa37882225960931fbee9a0dcc450f533a984175495df4cc69744",
+    "bound verify stdout": "73f8549f7c695c16ee5f9a60648b2bf12cd0528811a086b64a79f3ffd6ea2a51",
+    "bound interfere stdout": "bbaffe801a56251881371f501c48ec576436f43049921aac8680559a753e3798",
+    "bound erase stdout": "a4e94927f41b18d89c544adb33dbc693a297ae6bbc1a1f6de28a473b6bcafe83",
 }
+BOUND = ["--angles", "10,130,250", "--port-binding", "2,0,1"]
 
 
 def test_artifacts_match_pinned_hashes(tmp_path, monkeypatch, capsys):
@@ -283,17 +315,25 @@ def test_artifacts_match_pinned_hashes(tmp_path, monkeypatch, capsys):
         ["verify"],
         ["lhv"],
         ["interfere"],
+        ["erase"],
     ):
         assert main(argv) == 0
         got[f"{argv[0]} stdout"] = sha(capsys.readouterr().out.encode("utf-8"))
     for name in ("run.csv", "run.records.jsonl"):
         got[f"toolate {name}"] = sha((tmp_path / name).read_bytes())
-    chunked = tmp_path / "chunked"
-    chunked.mkdir()
-    monkeypatch.chdir(chunked)
-    assert main(["toolate", "--trials", "131073", "--seed", "42", "--out", "run.csv"]) == 0
-    for name in ("run.csv", "run.records.jsonl"):
-        got[f"toolate 131073 {name}"] = sha((chunked / name).read_bytes())
+    for prefix, argv in (
+        ("toolate 131073", ["toolate", "--trials", "131073", "--seed", "42", "--out", "run.csv"]),
+        ("bound toolate", ["toolate", "--trials", "20000", "--seed", "42", "--out", "run.csv"] + BOUND),
+    ):
+        subdir = tmp_path / prefix.replace(" ", "_")
+        subdir.mkdir()
+        monkeypatch.chdir(subdir)
+        assert main(argv) == 0
+        for name in ("run.csv", "run.records.jsonl"):
+            got[f"{prefix} {name}"] = sha((subdir / name).read_bytes())
+    for command in ("verify", "interfere", "erase"):
+        assert main([command] + BOUND) == 0
+        got[f"bound {command} stdout"] = sha(capsys.readouterr().out.encode("utf-8"))
     assert got == PINNED
 
 

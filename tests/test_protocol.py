@@ -166,8 +166,8 @@ class TestMeasurement:
         state = prepare_joint(trine)
         for trial in range(30):
             rng = TrialRng.for_trial(17, trial)
-            value_a, state_a, _ = measure_value(state, PARTICLE_A, rng)
-            exit_a, _, _ = measure_orientation(state_a, PARTICLE_A, rng)
+            value_a, state_a = measure_value(state, PARTICLE_A, rng)
+            exit_a, _ = measure_orientation(state_a, PARTICLE_A, rng)
             assert exit_a.value == value_a
 
 
@@ -219,7 +219,6 @@ class TestRecords:
         record = run_trial(trine, TrialRng.for_trial(9, 4), trial=4)
         assert record.exit_a.value == record.value_a
         assert record.exit_b.value == record.value_b
-        assert record.stages[0].startswith("t1")
 
     def test_record_rejects_value_mismatch(self):
         with pytest.raises(ValueError):
