@@ -45,6 +45,7 @@ from .protocol import (
     JointState,
     OutcomeRecord,
     Trine,
+    TrineProjectors,
     exit_vector,
     joint_distribution,
     measure_orientation,
@@ -52,10 +53,12 @@ from .protocol import (
     prepare_joint,
     run_trial,
     three_port_splitter,
+    trine_projectors,
     value_projectors,
 )
 from .qcore import (
     InvalidPartition,
+    ProjectorFamily,
     ZeroProbability,
     apply_unitary,
     entanglement_entropy,
@@ -69,6 +72,7 @@ from .spinlab import (
     SpinValue,
     chsh_value,
     correlation_exact,
+    correlations,
     singlet,
     spin_eigenstates,
     wrap_angle,

@@ -10,8 +10,8 @@ for; ``protocol_chunks`` hands each chunk to its caller instead of
 collecting the outcomes of every trial.
 
 The stream is mixed in place: a run allocates the buffers of its
-uniforms once, at most ``CHUNK`` long, and every shift, xor and
-multiply of a draw writes into them.  A pick reads a cumulative table
+seeds and uniforms once, at most ``CHUNK`` long, and every shift, xor
+and multiply of a draw writes into them.  A pick reads a cumulative table
 column by column: column j is one contiguous 1-D array over the table's
 rows, a trial's row is a flat index into it, and the pick counts the
 columns whose entry at that row is at or below the trial's uniform.
@@ -63,21 +63,26 @@ def _mix(z: np.ndarray, tmp: np.ndarray) -> None:
     z ^= tmp
 
 
-def trial_seeds(master: int, trials: int, start: int = 0) -> np.ndarray:
+def trial_seeds(master: int, trials: int, start: int, stream: _Stream) -> np.ndarray:
     """uint64 seeds of trials start .. start + trials - 1, identical to
-    rng.trial_seed."""
-    z = np.arange(start + 1, start + trials + 1, dtype=np.uint64)
-    z *= _GOLD
-    z += U64(master & _MASK64)
-    _mix(z, np.empty_like(z))
-    return z
+    rng.trial_seed.  They are written into the seed buffer of
+    ``stream``, which the next call overwrites."""
+    seeds = stream.seeds[:trials]
+    np.add(stream.steps[:trials], U64((start * GOLDEN + int(master)) & _MASK64), out=seeds)
+    _mix(seeds, stream.tmp[:trials])
+    return seeds
 
 
 class _Stream:
-    """Scratch buffers for the uniforms of up to ``size`` trials.  Every
-    chunk of a kernel call reuses them, so no chunk allocates its own."""
+    """Scratch buffers for the seeds and uniforms of up to ``size``
+    trials.  Every chunk of a kernel call reuses them, so no chunk
+    allocates its own."""
 
     def __init__(self, size: int):
+        # trial start + k enters the mix as master + (start + k + 1) * GOLDEN:
+        # steps[k] = (k + 1) * GOLDEN plus one offset per chunk, mod 2**64
+        self.steps = np.arange(1, size + 1, dtype=np.uint64) * _GOLD
+        self.seeds = np.empty(size, dtype=np.uint64)
         self.z = np.empty(size, dtype=np.uint64)
         self.tmp = np.empty(size, dtype=np.uint64)
         self.u = np.empty(size, dtype=np.float64)
@@ -136,7 +141,7 @@ def categorical_counts(cum_rows: np.ndarray, master_seed: int, trials: int) -> n
     for r in range(cum.shape[0]):
         row_seed = mix64(master_seed, r)
         for start in range(0, trials, CHUNK):
-            seeds = trial_seeds(row_seed, min(CHUNK, trials - start), start)
+            seeds = trial_seeds(row_seed, min(CHUNK, trials - start), start, stream)
             chosen = _pick(columns, r, stream.uniform(seeds, 0))
             counts[r] += np.bincount(chosen, minlength=cum.shape[1])
     return counts
@@ -155,7 +160,7 @@ def protocol_chunks(
     stream = _Stream(min(CHUNK, trials))
     block = np.empty((4, min(CHUNK, trials)), dtype=np.int64)
     for start in range(0, trials, CHUNK):
-        seeds = trial_seeds(int(master_seed), min(CHUNK, trials - start), start)
+        seeds = trial_seeds(int(master_seed), min(CHUNK, trials - start), start, stream)
         yield start, seeds, protocol_outcomes(tables, seeds, stream, block[:, : len(seeds)])
 
 

@@ -32,11 +32,11 @@ from .protocol import (
     ExitLabel,
     JointState,
     Trine,
+    TrineProjectors,
     exit_amplitudes,
     exit_labels,
     exit_vector,
     prepare_joint,
-    value_projectors,
 )
 from .spinlab import SpinValue
 
@@ -115,20 +115,19 @@ def oracle_value_state(value: SpinValue, trine: Trine) -> np.ndarray:
 
 
 def oracle_conditional_state(
-    value_a: SpinValue, value_b: SpinValue, trine: Trine
+    value_a: SpinValue, value_b: SpinValue, projectors: TrineProjectors
 ) -> tuple[JointState, float]:
     """Ground-truth pair state after both value measurements.
 
-    Projects the prepared pair with the two value projectors and
-    renormalizes; also returns the joint probability of that value
-    pair.  Derived entirely from first principles.
+    Projects the prepared pair of ``projectors.trine`` with the two
+    value projectors and renormalizes; also returns the joint
+    probability of that value pair.  Derived entirely from first
+    principles.
     """
-    start = prepare_joint(trine)
-    proj_a = value_projectors(trine, PARTICLE_A)[value_a]
-    proj_b = value_projectors(trine, PARTICLE_B)[value_b]
-    prob_a, state = qcore.project(proj_a, start.vec)
-    prob_b, state = qcore.project(proj_b, state)
-    return JointState(state, trine), prob_a * prob_b
+    start = prepare_joint(projectors.trine)
+    prob_a, state = qcore.project(projectors.value[PARTICLE_A][value_a], start.vec)
+    prob_b, state = qcore.project(projectors.value[PARTICLE_B][value_b], state)
+    return JointState(state, projectors.trine), prob_a * prob_b
 
 
 @dataclass
@@ -170,19 +169,21 @@ def _zero_check_rows(
     return rows
 
 
-def verify_states(trine: Trine) -> VerificationReport:
-    """Audit the three literal forms against first-principles states.
+def verify_states(projectors: TrineProjectors) -> VerificationReport:
+    """Audit the three literal forms of ``projectors.trine`` against
+    first-principles states.
 
     Deterministic: two invocations produce identical reports.  The
     report states what was measured; it asserts nothing.
     """
+    trine = projectors.trine
     labels = exit_labels(trine)
 
     single, single_norm = literal_value_state(SpinValue.UP, trine)
     pair, pair_norm = literal_pair_state(trine)
     joint, joint_norm = literal_joint_state(trine)
 
-    cond_upup, _ = oracle_conditional_state(SpinValue.UP, SpinValue.UP, trine)
+    cond_upup, _ = oracle_conditional_state(SpinValue.UP, SpinValue.UP, projectors)
     pre_value = prepare_joint(trine)
 
     equations = [

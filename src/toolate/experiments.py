@@ -44,8 +44,15 @@ from .protocol import (
     joint_distribution,
     prepare_joint,
     stage_conditionals,
+    trine_projectors,
 )
-from .spinlab import SpinValue, chsh_value, correlation_exact, joint_value_probabilities
+from .spinlab import (
+    SpinValue,
+    chsh_value,
+    correlation_exact,
+    correlations,
+    joint_value_probabilities,
+)
 
 PROTOCOLS = ("epr_standard", "toolate", "interference", "erasure", "lhv_compare", "verify")
 _CHSH_DEFAULT_DEG = (0.0, 90.0, 45.0, 135.0)
@@ -272,7 +279,7 @@ def sample_protocol(trine: Trine, trials: int, master_seed: int) -> np.ndarray:
     the explicit slow path).  The chunks ``run_toolate`` tabulates,
     gathered into one (trials, 4) array.
     """
-    chunks = _outcome_chunks(stage_conditionals(trine), trials, master_seed)
+    chunks = _outcome_chunks(stage_conditionals(trine_projectors(trine)), trials, master_seed)
     blocks = [outcomes.copy() for _, _, outcomes in chunks]
     return np.concatenate([np.empty((4, 0), dtype=np.int64), *blocks], axis=1).T
 
@@ -290,7 +297,7 @@ def run_toolate(config: ExperimentConfig, records: TextIO | None = None) -> Esti
         raise ValueError("run_toolate needs protocol toolate")
     trine = config.trine()
     degs = [f"{d:g}" for d in (degrees_of(t) for t in trine.orientations)]
-    tree = stage_conditionals(trine)
+    tree = stage_conditionals(trine_projectors(trine))
     p_values, cond, marg_a, marg_b = _exact_protocol_tables(tree)
 
     n = config.trials
@@ -492,7 +499,8 @@ def run_verify(config: ExperimentConfig) -> tuple[dict[str, Any], bool]:
     included in the payload but do not affect the verdict.
     """
     trine = config.trine()
-    report = verify_states(trine)
+    projectors = trine_projectors(trine)
+    report = verify_states(projectors)
     checks: list[dict[str, Any]] = []
 
     eq = {row["name"]: row for row in report.equations}
@@ -511,7 +519,7 @@ def run_verify(config: ExperimentConfig) -> tuple[dict[str, Any], bool]:
     _check(checks, "zero_amplitudes", report.all_zero_checks_pass(),
            "same-orientation same-value amplitudes vanish at 1e-14")
 
-    p_values, cond, marg_a, marg_b = _exact_protocol_tables(stage_conditionals(trine))
+    p_values, cond, marg_a, marg_b = _exact_protocol_tables(stage_conditionals(projectors))
     _check(checks, "value_pairs_quarter",
            bool(np.max(np.abs(p_values - 0.25)) <= 1e-12),
            "all four value pairs have probability 1/4")
@@ -532,7 +540,7 @@ def run_verify(config: ExperimentConfig) -> tuple[dict[str, Any], bool]:
     start = prepare_joint(trine)
     one_shot = joint_distribution(start)
     worst = max(
-        float(np.max(np.abs(composed_distribution(start, order) - one_shot)))
+        float(np.max(np.abs(composed_distribution(start, order, projectors) - one_shot)))
         for order in STAGE_ORDERS
     )
     _check(checks, "ordering_invariance", worst <= 1e-12,
@@ -558,7 +566,7 @@ def run_verify(config: ExperimentConfig) -> tuple[dict[str, Any], bool]:
         and abs(res0.fidelity_to_singlet - 1.0) <= 1e-10
     )
     for vv in (SpinValue.UP, SpinValue.DOWN):
-        state, _ = oracle_conditional_state(vv, vv, trine)
+        state, _ = oracle_conditional_state(vv, vv, projectors)
         res = erase_paths(state)
         erase_ok &= abs(res.fidelity_to_singlet - 1.0) <= 1e-10
         erase_ok &= abs(res.entanglement_bits - 1.0) <= 1e-10
@@ -571,9 +579,8 @@ def run_verify(config: ExperimentConfig) -> tuple[dict[str, Any], bool]:
     s = chsh_value(*(math.radians(d) for d in _CHSH_DEFAULT_DEG))
     lhv_max, _ = enumerate_chsh_max()
     grid = np.radians(np.arange(0.0, 360.0, 15.0))
-    corr_err = max(
-        abs(correlation_exact(x, y) + math.cos(x - y)) for x in grid for y in grid
-    )
+    a, b = grid[:, None], grid[None, :]
+    corr_err = float(np.max(np.abs(correlations(a, b) + np.cos(a - b))))
     _check(checks, "bell_quantities",
            abs(abs(s) - 2.0 * math.sqrt(2.0)) <= 1e-9
            and lhv_max == 2.0
@@ -581,11 +588,12 @@ def run_verify(config: ExperimentConfig) -> tuple[dict[str, Any], bool]:
            "correlations match -cos closed form; |S| = 2*sqrt 2 against the exact "
            "local bound of 2")
 
-    perms = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+    # the identity binding is the trine itself, whose tables are in hand
+    perms = ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
     perm_err = 0.0
     for perm in perms:
         other = trine.permuted(perm)
-        pv2, cond2, ma2, mb2 = _exact_protocol_tables(stage_conditionals(other))
+        pv2, cond2, ma2, mb2 = _exact_protocol_tables(stage_conditionals(trine_projectors(other)))
         perm_err = max(
             perm_err,
             float(np.max(np.abs(pv2 - p_values))),

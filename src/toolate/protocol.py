@@ -182,22 +182,61 @@ def exit_projector(trine: Trine, particle: int, label: ExitLabel) -> np.ndarray:
     return _particle_operator(np.outer(vec, vec.conj()), particle)
 
 
+class TrineProjectors(NamedTuple):
+    """A trine's four measurement families, each checked once when built.
+
+    ``value[particle]`` is (P_up, P_down) and ``exits[particle]`` the six
+    exit projectors in ``exit_labels`` order, for particle A (0) and B
+    (1).  Build them with ``trine_projectors`` in the call that uses
+    them: nothing keeps them past it.
+    """
+
+    trine: Trine
+    value: tuple[qcore.ProjectorFamily, qcore.ProjectorFamily]
+    exits: tuple[qcore.ProjectorFamily, qcore.ProjectorFamily]
+
+
+def trine_projectors(trine: Trine) -> TrineProjectors:
+    """Build and check the four families of ``trine``."""
+    labels = exit_labels(trine)
+    particles = (PARTICLE_A, PARTICLE_B)
+    return TrineProjectors(
+        trine,
+        tuple(qcore.ProjectorFamily(value_projectors(trine, p)) for p in particles),
+        tuple(
+            qcore.ProjectorFamily([exit_projector(trine, p, lab) for lab in labels])
+            for p in particles
+        ),
+    )
+
+
+def _families(
+    state: JointState, particle: int, projectors: TrineProjectors
+) -> tuple[qcore.ProjectorFamily, qcore.ProjectorFamily]:
+    """One particle's value and exit families, for a state of their trine."""
+    if projectors.trine != state.trine:
+        raise ValueError("projectors were built for another trine")
+    if particle not in (PARTICLE_A, PARTICLE_B):
+        raise ValueError("particle must be 0 (A) or 1 (B)")
+    return projectors.value[particle], projectors.exits[particle]
+
+
 def measure_value(
-    state: JointState, particle: int, rng: TrialRng
+    state: JointState, particle: int, rng: TrialRng, projectors: TrineProjectors
 ) -> tuple[SpinValue, JointState]:
     """Measure one particle's spin value only; orientation stays superposed."""
-    index, post = qcore.sample(state.vec, value_projectors(state.trine, particle), rng)
+    values, _ = _families(state, particle, projectors)
+    index, post = qcore.sample(state.vec, values, rng)
     return SpinValue(index), JointState(post, state.trine)
 
 
 def measure_orientation(
-    state: JointState, particle: int, rng: TrialRng
+    state: JointState, particle: int, rng: TrialRng, projectors: TrineProjectors
 ) -> tuple[ExitLabel, JointState]:
     """Complete one particle's measurement by sampling its six exits."""
-    labels = exit_labels(state.trine)
-    partition = [exit_projector(state.trine, particle, lab) for lab in labels]
-    index, post = qcore.sample(state.vec, partition, rng)
-    return labels[index], JointState(post, state.trine)
+    _, exits = _families(state, particle, projectors)
+    index, post = qcore.sample(state.vec, exits, rng)
+    return exit_labels(state.trine)[index], JointState(post, state.trine)
 
 
 def joint_exit_basis(trine: Trine) -> np.ndarray:
@@ -233,7 +272,9 @@ STAGE_ORDERS: tuple[tuple[str, ...], ...] = (
 )
 
 
-def composed_distribution(state: JointState, order: Sequence[str]) -> np.ndarray:
+def composed_distribution(
+    state: JointState, order: Sequence[str], projectors: TrineProjectors
+) -> np.ndarray:
     """Joint exit table composed from sequential stage probabilities.
 
     ``order`` interleaves the four stages (value/orientation for each
@@ -245,12 +286,10 @@ def composed_distribution(state: JointState, order: Sequence[str]) -> np.ndarray
     if order.index("vA") > order.index("oA") or order.index("vB") > order.index("oB"):
         raise ValueError("each particle's value stage must precede its orientation stage")
 
-    trine = state.trine
-    labels = exit_labels(trine)
-    partitions = {}  # by stage tag, built once for the whole tree
+    labels = exit_labels(state.trine)
+    partitions = {}  # by stage tag
     for side, particle in (("A", PARTICLE_A), ("B", PARTICLE_B)):
-        partitions["v" + side] = value_projectors(trine, particle)
-        partitions["o" + side] = [exit_projector(trine, particle, lab) for lab in labels]
+        partitions["v" + side], partitions["o" + side] = _families(state, particle, projectors)
     table = np.zeros((PARTICLE_DIM, PARTICLE_DIM))
     # depth-first over outcome branches; each (exit_A, exit_B) leaf is
     # reached by exactly one branch, so the visiting order is immaterial
@@ -298,15 +337,13 @@ class StageConditionals:
     p_exit_b: np.ndarray           # (2, 2, 6, 6) [vA, vB, eA, eB]
 
 
-def stage_conditionals(trine: Trine) -> StageConditionals:
+def stage_conditionals(projectors: TrineProjectors) -> StageConditionals:
+    """The stage tables of ``projectors.trine``, by projecting its
+    prepared pair with the trine's families."""
+    trine = projectors.trine
     start = prepare_joint(trine)
-    labels = exit_labels(trine)
-    pa_up, pa_down = value_projectors(trine, PARTICLE_A)
-    pb_up, pb_down = value_projectors(trine, PARTICLE_B)
-    proj_a = {SpinValue.UP: pa_up, SpinValue.DOWN: pa_down}
-    proj_b = {SpinValue.UP: pb_up, SpinValue.DOWN: pb_down}
-    exits_a = [exit_projector(trine, PARTICLE_A, label) for label in labels]
-    exits_b = [exit_projector(trine, PARTICLE_B, label) for label in labels]
+    proj_a, proj_b = projectors.value
+    exits_a, exits_b = projectors.exits
 
     p_value_a = np.zeros(2)
     p_value_b = np.zeros((2, 2))
@@ -360,9 +397,10 @@ class OutcomeRecord:
 
 def run_trial(trine: Trine, rng: TrialRng, trial: int = 0) -> OutcomeRecord:
     """One full value-first trial via explicit state collapse (slow path)."""
+    projectors = trine_projectors(trine)
     state = prepare_joint(trine)
-    value_a, state = measure_value(state, PARTICLE_A, rng)
-    value_b, state = measure_value(state, PARTICLE_B, rng)
-    exit_a, state = measure_orientation(state, PARTICLE_A, rng)
-    exit_b, state = measure_orientation(state, PARTICLE_B, rng)
+    value_a, state = measure_value(state, PARTICLE_A, rng, projectors)
+    value_b, state = measure_value(state, PARTICLE_B, rng, projectors)
+    exit_a, state = measure_orientation(state, PARTICLE_A, rng, projectors)
+    exit_b, state = measure_orientation(state, PARTICLE_B, rng, projectors)
     return OutcomeRecord(trial, rng.seed, value_a, value_b, exit_a, exit_b)

@@ -54,20 +54,36 @@ def dagger(op) -> np.ndarray:
     return np.asarray(op, dtype=complex).conj().T
 
 
+def within_atol(a, b) -> bool:
+    """Whether every entry of a - b is at most ATOL in magnitude.
+
+    The same test as ``np.allclose(a, b, atol=ATOL, rtol=0)`` on finite
+    input, without its broadcasting and relative-tolerance work.  A NaN
+    or infinite entry never passes: inf - inf is NaN, and NaN compares
+    false, so that subtraction is not warned about."""
+    with np.errstate(invalid="ignore"):
+        return bool(np.all(np.abs(a - b) <= ATOL))
+
+
 def is_unitary(op) -> bool:
     u = np.asarray(op, dtype=complex)
-    return u.shape[0] == u.shape[1] and np.allclose(
-        dagger(u) @ u, np.eye(u.shape[0]), atol=ATOL, rtol=0.0
+    return (
+        u.shape[0] == u.shape[1]
+        and bool(np.all(np.isfinite(u)))
+        and within_atol(dagger(u) @ u, np.eye(u.shape[0]))
     )
 
 
 def is_projector(op) -> bool:
+    """Whether ``op`` is Hermitian and idempotent.  A member of a
+    ``ProjectorFamily`` was checked when its family was built and is
+    trusted at once; any other array is checked in full."""
+    if isinstance(op, _Member) and op.checked and not op.flags.writeable:
+        return True
     p = np.asarray(op, dtype=complex)
     if p.shape[0] != p.shape[1]:
         return False
-    hermitian = np.allclose(p, dagger(p), atol=ATOL, rtol=0.0)
-    idempotent = np.allclose(p @ p, p, atol=ATOL, rtol=0.0)
-    return hermitian and idempotent
+    return within_atol(p, dagger(p)) and within_atol(p @ p, p)
 
 
 def apply_unitary(op, state, dims, axis: int) -> np.ndarray:
@@ -108,9 +124,9 @@ def project(proj, state) -> tuple[float, np.ndarray]:
     in this package are analytic zeros, so the threshold only guards
     rounding.
     """
-    p = np.asarray(proj, dtype=complex)
-    if not is_projector(p):
+    if not is_projector(proj):
         raise ValueError("operator is not a projector")
+    p = np.asarray(proj, dtype=complex)
     arr = as_state(state)
     prob = projection_probability(p, arr)
     if prob <= ZERO_PROB:
@@ -119,6 +135,13 @@ def project(proj, state) -> tuple[float, np.ndarray]:
 
 
 def validate_partition(partition, dim: int) -> list[np.ndarray]:
+    """The members of a complete orthogonal projector family on ``dim``
+    dimensions, or InvalidPartition.  A ``ProjectorFamily`` was checked
+    when it was built, so only its dimension is checked here."""
+    if isinstance(partition, ProjectorFamily):
+        if partition.dim != dim:
+            raise InvalidPartition(f"family of dim {partition.dim} used on dim {dim}")
+        return list(partition)
     ops = [np.asarray(p, dtype=complex) for p in partition]
     if not ops:
         raise InvalidPartition("empty partition")
@@ -129,13 +152,49 @@ def validate_partition(partition, dim: int) -> list[np.ndarray]:
         if not is_projector(p):
             raise InvalidPartition("partition element is not a projector")
         total += p
-    if not np.allclose(total, np.eye(dim), atol=ATOL, rtol=0.0):
+    if not within_atol(total, np.eye(dim)):
         raise InvalidPartition("partition does not sum to the identity")
     for i in range(len(ops)):
         for j in range(i + 1, len(ops)):
             if np.max(np.abs(ops[i] @ ops[j])) > ATOL:
                 raise InvalidPartition("partition elements are not orthogonal")
     return ops
+
+
+class _Member(np.ndarray):
+    """A read-only ``ProjectorFamily`` member.  ``checked`` is set only
+    on the arrays a family built; their views and copies lack it, and
+    arithmetic on members gives plain arrays."""
+
+    checked = False
+
+    def __array_wrap__(self, arr, context=None, return_scalar=False):
+        return arr[()] if return_scalar else arr  # not viewed as a member
+
+
+class ProjectorFamily(tuple):
+    """A complete orthogonal projector family, checked once when built.
+
+    Building one runs every ``validate_partition`` check on the given
+    operators and raises InvalidPartition as that does.  The members are
+    read-only copies, so they stay what was checked: ``is_projector``
+    trusts them, and ``validate_partition`` checks only the dimension.
+    """
+
+    def __new__(cls, partition):
+        ops = list(partition)
+        shape = np.shape(ops[0]) if ops else ()
+        members = []
+        for op in validate_partition(ops, shape[0] if shape else 0):
+            member = op.copy().view(_Member)
+            member.flags.writeable = False
+            member.checked = True
+            members.append(member)
+        return super().__new__(cls, members)
+
+    @property
+    def dim(self) -> int:
+        return self[0].shape[0]
 
 
 def sample(state, partition, rng: TrialRng) -> tuple[int, np.ndarray]:
@@ -187,7 +246,7 @@ def reduced_density(state, dims, keep) -> np.ndarray:
 def entanglement_entropy(rho) -> float:
     """Von Neumann entropy in bits; eigenvalues at or below 1e-12 contribute 0."""
     mat = np.asarray(rho, dtype=complex)
-    if not np.allclose(mat, dagger(mat), atol=ATOL, rtol=0.0):
+    if not within_atol(mat, dagger(mat)):
         raise ValueError("density matrix is not Hermitian")
     evals = np.linalg.eigvalsh(mat)
     ent = 0.0

@@ -50,22 +50,33 @@ def singlet() -> np.ndarray:
     return np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 
 
-def joint_value_probabilities(a: float, b: float) -> np.ndarray:
+def _eigenbases(theta) -> np.ndarray:
+    """Eigenbasis matrices, columns (up, down), of every angle in
+    ``theta``: shape theta.shape + (2, 2)."""
+    angles = np.asarray(theta, dtype=float)
+    bases = [np.column_stack(spin_eigenstates(t)) for t in angles.reshape(-1)]
+    return np.array(bases).reshape(angles.shape + (2, 2))
+
+
+def joint_value_probabilities(a, b) -> np.ndarray:
     """Born weights of the four joint outcomes (uu, ud, du, dd) for the
     singlet measured along a and b, by explicit projection.
 
     amps[va, vb] = <va(a), vb(b)|singlet>, evaluated for all four
-    outcomes in one contraction over the eigenbases.
+    outcomes in one contraction over the eigenbases.  ``a`` and ``b``
+    may be angle arrays, broadcast together; the result then has their
+    shape plus a last axis of the four weights.
     """
     pair = singlet().reshape(2, 2)
-    basis_a = np.column_stack(spin_eigenstates(a))
-    basis_b = np.column_stack(spin_eigenstates(b))
-    amps = basis_a.conj().T @ pair @ basis_b.conj()
-    return (np.abs(amps) ** 2).reshape(-1)
+    basis_a = _eigenbases(a)
+    basis_b = _eigenbases(b)
+    amps = np.swapaxes(basis_a.conj(), -1, -2) @ pair @ basis_b.conj()
+    return (np.abs(amps) ** 2).reshape(amps.shape[:-2] + (4,))
 
 
-def correlation_exact(a: float, b: float) -> float:
-    """Joint-value expectation for the singlet at orientations a and b.
+def correlations(a, b) -> np.ndarray:
+    """Joint-value expectation for the singlet at orientations a and b,
+    which may be angle arrays broadcast together.
 
     Enumerates the four joint outcomes by projecting the singlet onto
     each eigenstate pair, then forms sum of (+-1)(+-1) P(s, s').  The
@@ -75,8 +86,13 @@ def correlation_exact(a: float, b: float) -> float:
     expectation = 0.0
     for va in SpinValue:
         for vb in SpinValue:
-            expectation += va.sign * vb.sign * float(probs[2 * va + vb])
+            expectation = expectation + va.sign * vb.sign * probs[..., 2 * va + vb]
     return expectation
+
+
+def correlation_exact(a: float, b: float) -> float:
+    """``correlations`` at one pair of orientations."""
+    return float(correlations(a, b))
 
 
 def chsh_value(a: float, a2: float, b: float, b2: float) -> float:

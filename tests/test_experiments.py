@@ -18,7 +18,7 @@ from toolate.experiments import (
     run_verify,
     sample_protocol,
 )
-from toolate._kernels import trial_seeds
+from toolate._kernels import _Stream, trial_seeds
 from toolate.protocol import degrees_of
 from toolate.rng import trial_seed
 
@@ -141,7 +141,7 @@ class TestRunToolate:
         # one chunk's text, numbered from its first trial; the cell is 6*exit_A + exit_B
         outcomes = sample_protocol(config.trine(), 5, 1)
         cells = outcomes[2:, 2] * 6 + outcomes[2:, 3]
-        tail = records_text(record_tails(config.trine()), 2, trial_seeds(1, 3, 2), cells)
+        tail = records_text(record_tails(config.trine()), 2, trial_seeds(1, 3, 2, _Stream(3)), cells)
         assert isinstance(tail, str)
         assert tail == "\n".join(lines[3:]) + "\n"
 

@@ -25,6 +25,7 @@ from toolate.protocol import (
     run_trial,
     stage_conditionals,
     three_port_splitter,
+    trine_projectors,
     value_projectors,
 )
 from toolate.rng import TrialRng
@@ -128,7 +129,7 @@ class TestValueProjectors:
 
 class TestMeasurement:
     def test_value_pair_weights_quarter(self, trine):
-        tree = stage_conditionals(trine)
+        tree = stage_conditionals(trine_projectors(trine))
         joint = tree.p_value_a[:, None] * tree.p_value_b
         np.testing.assert_allclose(joint, np.full((2, 2), 0.25), atol=1e-12)
 
@@ -146,12 +147,19 @@ class TestMeasurement:
 
     def test_measure_value_reproducible(self, trine):
         state = prepare_joint(trine)
-        outcomes = [measure_value(state, PARTICLE_A, TrialRng.for_trial(11, i))[0] for i in range(50)]
-        again = [measure_value(state, PARTICLE_A, TrialRng.for_trial(11, i))[0] for i in range(50)]
+        projectors = trine_projectors(trine)
+        outcomes = [
+            measure_value(state, PARTICLE_A, TrialRng.for_trial(11, i), projectors)[0]
+            for i in range(50)
+        ]
+        again = [
+            measure_value(state, PARTICLE_A, TrialRng.for_trial(11, i), projectors)[0]
+            for i in range(50)
+        ]
         assert outcomes == again
 
     def test_orientation_conditionals_given_up_up(self, trine):
-        tree = stage_conditionals(trine)
+        tree = stage_conditionals(trine_projectors(trine))
         cond = np.zeros((3, 3))
         for ra in range(3):
             for rb in range(3):
@@ -164,10 +172,11 @@ class TestMeasurement:
 
     def test_measure_orientation_respects_prior_value(self, trine):
         state = prepare_joint(trine)
+        projectors = trine_projectors(trine)
         for trial in range(30):
             rng = TrialRng.for_trial(17, trial)
-            value_a, state_a = measure_value(state, PARTICLE_A, rng)
-            exit_a, _ = measure_orientation(state_a, PARTICLE_A, rng)
+            value_a, state_a = measure_value(state, PARTICLE_A, rng, projectors)
+            exit_a, _ = measure_orientation(state_a, PARTICLE_A, rng, projectors)
             assert exit_a.value == value_a
 
 
@@ -189,13 +198,16 @@ class TestJointDistribution:
     def test_ordering_invariance_all_interleavings(self, trine):
         state = prepare_joint(trine)
         one_shot = joint_distribution(state)
+        projectors = trine_projectors(trine)
         for order in STAGE_ORDERS:
-            composed = composed_distribution(state, order)
+            composed = composed_distribution(state, order, projectors)
             assert np.max(np.abs(composed - one_shot)) < 1e-12
 
     def test_rejects_misordered_stages(self, trine):
         with pytest.raises(ValueError):
-            composed_distribution(prepare_joint(trine), ("oA", "vA", "vB", "oB"))
+            composed_distribution(
+                prepare_joint(trine), ("oA", "vA", "vB", "oB"), trine_projectors(trine)
+            )
 
 
 class TestPortBinding:
@@ -238,7 +250,7 @@ class TestRecords:
 
 class TestStageConditionals:
     def test_snapped_zeros_are_exact(self, trine):
-        tree = stage_conditionals(trine)
+        tree = stage_conditionals(trine_projectors(trine))
         for va in range(2):
             for vb in range(2):
                 for ea in range(6):
@@ -251,7 +263,7 @@ class TestStageConditionals:
                 assert tree.p_exit_b[v, v, ea, ea] == 0.0
 
     def test_rows_renormalized(self, trine):
-        tree = stage_conditionals(trine)
+        tree = stage_conditionals(trine_projectors(trine))
         assert abs(tree.p_value_a.sum() - 1.0) < 1e-15
         for va in range(2):
             for vb in range(2):

@@ -29,12 +29,21 @@ def test_trial_rng_matches_indexed_stream():
 
 
 def test_kernel_trial_seeds_match_python_route():
-    seeds = _kernels.trial_seeds(42, 64)
+    seeds = _kernels.trial_seeds(42, 64, 0, _kernels._Stream(64))
     assert seeds.dtype == np.uint64
     assert [int(s) for s in seeds] == [trial_seed(42, i) for i in range(64)]
     start = _kernels.CHUNK - 2
-    offset = _kernels.trial_seeds(42, 5, start)
+    offset = _kernels.trial_seeds(42, 5, start, _kernels._Stream(5))
     assert offset.tolist() == [trial_seed(42, start + k) for k in range(5)]
+
+
+def test_kernel_trial_seeds_reuse_one_buffer_per_stream():
+    stream = _kernels._Stream(8)
+    master = 2**64 - 3  # so start * GOLDEN + master wraps past 2**64
+    for start, trials in ((0, 8), (8, 8), (2**63, 8), (2**64 - 4, 3)):
+        seeds = _kernels.trial_seeds(master, trials, start, stream)
+        assert np.shares_memory(seeds, stream.seeds)
+        assert seeds.tolist() == [trial_seed(master, start + k) for k in range(len(seeds))]
 
 
 def test_golden_constant_is_the_published_one():

@@ -7,6 +7,7 @@ from toolate.spinlab import (
     SpinValue,
     chsh_value,
     correlation_exact,
+    correlations,
     joint_value_probabilities,
     singlet,
     spin_eigenstates,
@@ -111,6 +112,18 @@ class TestCorrelation:
         for _ in range(1000):
             a, b = rand.uniform(0, TWO_PI, size=2)
             assert abs(correlation_exact(a, b) + math.cos(a - b)) < 1e-12
+
+    def test_array_form_matches_scalar_route(self, rand):
+        # raw angles, wrapped by the eigenstates: negative and beyond 2*pi
+        a = np.concatenate([rand.uniform(-3 * TWO_PI, 3 * TWO_PI, size=40), [0.0, TWO_PI, -TWO_PI]])
+        b = np.concatenate([rand.uniform(-3 * TWO_PI, 3 * TWO_PI, size=30), [math.pi, 5 * TWO_PI]])
+        grid = correlations(a[:, None], b[None, :])
+        assert grid.shape == (len(a), len(b))
+        scalar = np.array([[correlation_exact(x, y) for y in b] for x in a])
+        assert np.max(np.abs(grid - scalar)) <= 1e-15
+        probs = joint_value_probabilities(a[:, None], b[None, :])
+        assert probs.shape == (len(a), len(b), 4)
+        assert np.max(np.abs(probs[3, 7] - joint_value_probabilities(a[3], b[7]))) <= 1e-15
 
     def test_symmetry(self, rand):
         for _ in range(100):
