@@ -300,8 +300,13 @@ PINNED = {
     "bound verify stdout": "73f8549f7c695c16ee5f9a60648b2bf12cd0528811a086b64a79f3ffd6ea2a51",
     "bound interfere stdout": "bbaffe801a56251881371f501c48ec576436f43049921aac8680559a753e3798",
     "bound erase stdout": "a4e94927f41b18d89c544adb33dbc693a297ae6bbc1a1f6de28a473b6bcafe83",
+    # a trine not 120 degrees apart: verify reports the closed forms only
+    "uneven verify stdout": "b52e0dcedf8ca50c87b26117c07e5ed068c5bbd5f9569653e09d51af395578d1",
+    "uneven interfere stdout": "a6359cb81509429b411d197a39d5bcb28c654fb2352423d2c553d2a8142c79ff",
+    "uneven erase stdout": "b3142e88dfabfcbdfff3fa31e042525a0ba490b23a94e4e6bc6f129c95483ad1",
 }
 BOUND = ["--angles", "10,130,250", "--port-binding", "2,0,1"]
+UNEVEN = ["--angles", "0,90,200", "--port-binding", "1,2,0"]
 
 
 def test_artifacts_match_pinned_hashes(tmp_path, monkeypatch, capsys):
@@ -331,9 +336,10 @@ def test_artifacts_match_pinned_hashes(tmp_path, monkeypatch, capsys):
         assert main(argv) == 0
         for name in ("run.csv", "run.records.jsonl"):
             got[f"{prefix} {name}"] = sha((subdir / name).read_bytes())
-    for command in ("verify", "interfere", "erase"):
-        assert main([command] + BOUND) == 0
-        got[f"bound {command} stdout"] = sha(capsys.readouterr().out.encode("utf-8"))
+    for prefix, flags in (("bound", BOUND), ("uneven", UNEVEN)):
+        for command in ("verify", "interfere", "erase"):
+            assert main([command] + flags) == 0
+            got[f"{prefix} {command} stdout"] = sha(capsys.readouterr().out.encode("utf-8"))
     assert got == PINNED
 
 
