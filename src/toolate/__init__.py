@@ -60,7 +60,6 @@ from .qcore import (
     InvalidPartition,
     ProjectorFamily,
     ZeroProbability,
-    apply_unitary,
     entanglement_entropy,
     fidelity,
     project,

@@ -34,8 +34,10 @@ from .protocol import (
     Trine,
     TrineProjectors,
     exit_amplitudes,
+    exit_basis,
     exit_labels,
     exit_vector,
+    joint_exit_basis,
     prepare_joint,
 )
 from .spinlab import SpinValue
@@ -49,9 +51,7 @@ def literal_value_state(value: SpinValue, trine: Trine) -> tuple[np.ndarray, flo
     Returns the normalized 6-dim state and the norm of the expression
     as written with its 1/sqrt(3) prefactor (expected 1).
     """
-    raw = sum(
-        exit_vector(trine, ExitLabel(theta, value)) for theta in trine.orientations
-    ) / math.sqrt(3.0)
+    raw = exit_basis(trine)[:, value::2].sum(axis=1) / math.sqrt(3.0)
     literal_norm = float(np.linalg.norm(raw))
     return raw / literal_norm, literal_norm
 
@@ -63,11 +63,8 @@ def _pair_product(value_a: SpinValue, value_b: SpinValue, trine: Trine) -> np.nd
 
 
 def _same_orientation_term(value: SpinValue, trine: Trine) -> np.ndarray:
-    total = np.zeros(36, dtype=complex)
-    for theta in trine.orientations:
-        vec = exit_vector(trine, ExitLabel(theta, value))
-        total += np.kron(vec, vec)
-    return total
+    # joint column 7*e is exit e on both particles; value v has exits v, v+2, v+4
+    return joint_exit_basis(trine)[:, 7 * value :: 14].sum(axis=1)
 
 
 def literal_pair_state(trine: Trine) -> tuple[np.ndarray, float]:
@@ -217,10 +214,9 @@ def verify_states(projectors: TrineProjectors) -> VerificationReport:
         for j, lb in enumerate(labels)
     ]
 
-    joint_amps = (np.asarray(
-        [np.vdot(np.kron(exit_vector(trine, la), exit_vector(trine, lb)), joint)
-         for la in labels for lb in labels]
-    ).reshape(6, 6))
+    # a vdot per contiguous row: strided rows or a matmul move the printed bits
+    exit_pairs = np.ascontiguousarray(joint_exit_basis(trine).T)
+    joint_amps = np.array([np.vdot(pair, joint) for pair in exit_pairs]).reshape(6, 6)
     cond_amps = exit_amplitudes(cond_upup)
     zero_checks = (
         _zero_check_rows("literal_joint", joint_amps, trine, labels)

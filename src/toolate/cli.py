@@ -93,7 +93,7 @@ def _load_config(args) -> ExperimentConfig:
     if args.config:
         try:
             data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise UsageError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise UsageError("config file must hold a JSON object")

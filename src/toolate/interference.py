@@ -39,11 +39,8 @@ def recombine(state6: np.ndarray) -> np.ndarray:
     vec = qcore.require_normalized(state6)
     if vec.size != PARTICLE_DIM:
         raise ValueError("recombine expects a single-particle (path x spin) state")
-    back = qcore.apply_unitary(
-        three_port_splitter().conj().T, vec, (PATH_DIM, SPIN_DIM), axis=0
-    )
-    blocks = back.reshape(PATH_DIM, SPIN_DIM)
-    return np.sum(np.abs(blocks) ** 2, axis=1)
+    back = three_port_splitter().conj().T @ vec.reshape(PATH_DIM, SPIN_DIM)
+    return np.sum(np.abs(back) ** 2, axis=1)
 
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:

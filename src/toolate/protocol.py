@@ -14,7 +14,11 @@ A detector-level outcome ("exit") is an orientation together with a
 spin value.  Exits are enumerated by ascending orientation angle, not
 by port, so every tabulated statistic is invariant under re-binding of
 ports to orientations; the port is recovered through the trine when a
-spatial mode is needed.
+spatial mode is needed.  ``exit_basis`` holds the six exit states as
+columns in that order: column 2*k + v is the k-th orientation with
+value v, so ``[:, v::2]`` are the three exits of value v.  The value
+projectors and the audit's literal forms are built from it, and the 36
+joint exit states are its Kronecker square, column 6*eA + eB.
 """
 
 from __future__ import annotations
@@ -84,8 +88,9 @@ class Trine:
 
 def degrees_of(theta: float) -> float:
     """Angle in degrees, rounded so conversion dust never leaks into
-    labels or records (119.99999999999999 -> 120.0)."""
-    return round(math.degrees(theta), 9)
+    labels or records (119.99999999999999 -> 120.0); adding 0.0 turns
+    -0.0 into 0.0."""
+    return round(math.degrees(theta), 9) + 0.0
 
 
 class ExitLabel(NamedTuple):
@@ -133,10 +138,14 @@ def uniform_paths() -> np.ndarray:
 def exit_vector(trine: Trine, label: ExitLabel) -> np.ndarray:
     """Single-particle exit state |port> (x) |eigenstate along theta>."""
     port = trine.port_of(label.theta)
-    path = np.zeros(PATH_DIM, dtype=complex)
-    path[port] = 1.0
-    spin = spin_eigenstates(label.theta)[label.value]
-    return np.kron(path, spin)
+    vec = np.zeros(PARTICLE_DIM, dtype=complex)
+    vec[SPIN_DIM * port : SPIN_DIM * (port + 1)] = spin_eigenstates(label.theta)[label.value]
+    return vec
+
+
+def exit_basis(trine: Trine) -> np.ndarray:
+    """The six exit states as the columns of one 6x6 basis, in exit order."""
+    return np.column_stack([exit_vector(trine, lab) for lab in exit_labels(trine)])
 
 
 def prepare_joint(trine: Trine) -> JointState:
@@ -166,14 +175,10 @@ def value_projectors(trine: Trine, particle: int) -> tuple[np.ndarray, np.ndarra
     P_up sums |port(o)><port(o)| (x) |up(o)><up(o)| over the trine; the
     orientation stays superposed.  P_up + P_down is the identity.
     """
-    blocks = {v: np.zeros((PARTICLE_DIM, PARTICLE_DIM), dtype=complex) for v in SpinValue}
-    for theta in trine.orientations:
-        for v in SpinValue:
-            vec = exit_vector(trine, ExitLabel(theta, v))
-            blocks[v] += np.outer(vec, vec.conj())
-    return (
-        _particle_operator(blocks[SpinValue.UP], particle),
-        _particle_operator(blocks[SpinValue.DOWN], particle),
+    basis = exit_basis(trine)
+    return tuple(
+        _particle_operator(basis[:, v::2] @ basis[:, v::2].conj().T, particle)
+        for v in SpinValue
     )
 
 
@@ -241,14 +246,8 @@ def measure_orientation(
 
 def joint_exit_basis(trine: Trine) -> np.ndarray:
     """Columns are the 36 joint exit states in canonical (A, B) order."""
-    singles = [exit_vector(trine, lab) for lab in exit_labels(trine)]
-    basis = np.empty((JOINT_DIM, JOINT_DIM), dtype=complex)
-    col = 0
-    for va in singles:
-        for vb in singles:
-            basis[:, col] = np.kron(va, vb)
-            col += 1
-    return basis
+    basis = exit_basis(trine)
+    return np.kron(basis, basis)
 
 
 def exit_amplitudes(state: JointState) -> np.ndarray:

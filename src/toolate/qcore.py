@@ -65,15 +65,6 @@ def within_atol(a, b) -> bool:
         return bool(np.all(np.abs(a - b) <= ATOL))
 
 
-def is_unitary(op) -> bool:
-    u = np.asarray(op, dtype=complex)
-    return (
-        u.shape[0] == u.shape[1]
-        and bool(np.all(np.isfinite(u)))
-        and within_atol(dagger(u) @ u, np.eye(u.shape[0]))
-    )
-
-
 def is_projector(op) -> bool:
     """Whether ``op`` is Hermitian and idempotent.  A member of a
     ``ProjectorFamily`` was checked when its family was built and is
@@ -84,29 +75,6 @@ def is_projector(op) -> bool:
     if p.shape[0] != p.shape[1]:
         return False
     return within_atol(p, dagger(p)) and within_atol(p @ p, p)
-
-
-def apply_unitary(op, state, dims, axis: int) -> np.ndarray:
-    """Apply a unitary to one tensor factor of ``state``.
-
-    ``dims`` lists the factor dimensions in basis order and ``axis``
-    selects the factor the operator acts on; identity is implied on the
-    rest.  Norm is preserved.
-    """
-    u = np.asarray(op, dtype=complex)
-    arr = as_state(state)
-    dims = tuple(int(d) for d in dims)
-    if int(np.prod(dims)) != arr.size:
-        raise ValueError(f"layout {dims} does not match state of dim {arr.size}")
-    if u.shape != (dims[axis], dims[axis]):
-        raise ValueError(
-            f"operator of shape {u.shape} does not fit factor {axis} of dim {dims[axis]}"
-        )
-    if not is_unitary(u):
-        raise ValueError("operator is not unitary")
-    t = arr.reshape(dims)
-    t = np.moveaxis(np.tensordot(u, t, axes=([1], [axis])), 0, axis)
-    return t.reshape(-1)
 
 
 def projection_probability(proj, state) -> float:

@@ -72,6 +72,26 @@ def test_toolate_reruns_are_byte_identical(tmp_path):
     assert out_a.read_bytes() == before
 
 
+@pytest.mark.parametrize(
+    "command, angles, zero_angles",
+    [
+        ("toolate", "-0,120,240", "0,120,240"),
+        ("toolate", "-360,120,240", "0,120,240"),
+        ("epr", "-0,90,45,135", "0,90,45,135"),
+    ],
+)
+def test_angles_at_negative_zero_print_as_zero(tmp_path, command, angles, zero_angles):
+    # both runs give the same bytes after each file's first line, the echoed config
+    texts = []
+    for given in (angles, zero_angles):
+        out = tmp_path / given
+        out.mkdir()
+        argv = [command, f"--angles={given}", "--trials", "300", "--seed", "4"]
+        assert main(argv + ["--out", str(out / "run.csv")]) == 0
+        texts.append({f.name: f.read_text().split("\n", 1)[1] for f in out.iterdir()})
+    assert texts[0] == texts[1]
+
+
 def test_seed_changes_the_outcome_stream(tmp_path):
     out = tmp_path / "run.csv"
     main(["toolate", "--trials", "1000", "--seed", "1", "--out", str(out)])
@@ -225,6 +245,7 @@ def test_bad_port_binding(capsys):
     [
         ("[1, 2]", ["verify"], "JSON object"),
         ('"verify"', ["verify"], "JSON object"),
+        ("[" * 100000 + "]" * 100000, ["verify"], "not valid JSON"),
         (None, ["verify", "--threshold", "nan"], "threshold"),
         (None, ["verify", "--threshold", "-1"], "threshold"),
         (None, ["verify", "--threshold", "1.5"], "threshold"),
@@ -246,6 +267,7 @@ def test_bad_port_binding(capsys):
     ids=[
         "config-array",
         "config-string",
+        "config-nested-past-recursion-limit",
         "threshold-nan",
         "threshold-negative",
         "threshold-above-one",

@@ -15,7 +15,13 @@ from toolate.interference import (
     swap_report,
     tv_distance,
 )
-from toolate.protocol import JointState, prepare_joint, trine_projectors, uniform_paths
+from toolate.protocol import (
+    JointState,
+    prepare_joint,
+    three_port_splitter,
+    trine_projectors,
+    uniform_paths,
+)
 from toolate.spinlab import SpinValue, singlet
 
 UP_Z = np.array([1, 0], dtype=complex)
@@ -29,6 +35,11 @@ class TestRecombine:
     def test_uniform_coherent_product_refocuses(self):
         state = np.kron(uniform_paths(), UP_Z)
         np.testing.assert_allclose(recombine(state), [1, 0, 0], atol=1e-12)
+        # the splitter's outputs for input ports p2 and p3 carry complex
+        # phases, which tell the inverse splitter from the forward one
+        for port in (1, 2):
+            state = np.kron(three_port_splitter()[:, port], UP_Z)
+            np.testing.assert_allclose(recombine(state), np.eye(3)[port], atol=1e-12)
 
     def test_value_fixed_state_port_weights(self, trine):
         state, _ = literal_value_state(SpinValue.UP, trine)

@@ -16,9 +16,11 @@ from toolate.protocol import (
     Trine,
     composed_distribution,
     degrees_of,
+    exit_basis,
     exit_labels,
     exit_vector,
     joint_distribution,
+    joint_exit_basis,
     measure_orientation,
     measure_value,
     prepare_joint,
@@ -93,6 +95,22 @@ class TestExitVectors:
     def test_unknown_orientation_rejected(self, trine):
         with pytest.raises(ValueError):
             exit_vector(trine, ExitLabel(0.123, SpinValue.UP))
+
+    @pytest.mark.parametrize("degrees", [(0, 120, 240), (0, 90, 200)])
+    @pytest.mark.parametrize("perm", ALL_PERMS)
+    def test_bases_and_value_projectors_match_loop_built_states(self, degrees, perm):
+        trine = Trine.from_degrees(degrees).permuted(perm)
+        labels = exit_labels(trine)
+        vecs = [exit_vector(trine, lab) for lab in labels]
+        assert np.array_equal(exit_basis(trine), np.column_stack(vecs))
+        joint = joint_exit_basis(trine)
+        for a, va in enumerate(vecs):
+            for b, vb in enumerate(vecs):
+                assert np.array_equal(joint[:, 6 * a + b], np.kron(va, vb))
+        for v in SpinValue:
+            block = sum(np.outer(x, x.conj()) for x, lab in zip(vecs, labels) if lab.value == v)
+            assert np.array_equal(value_projectors(trine, PARTICLE_A)[v], np.kron(block, np.eye(6)))
+            assert np.array_equal(value_projectors(trine, PARTICLE_B)[v], np.kron(np.eye(6), block))
 
 
 class TestPrepareJoint:

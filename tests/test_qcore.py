@@ -14,7 +14,6 @@ from toolate.protocol import (
     composed_distribution,
     prepare_joint,
     stage_conditionals,
-    three_port_splitter,
     trine_projectors,
 )
 from toolate.rng import TrialRng
@@ -23,34 +22,6 @@ from toolate.spinlab import SpinValue, singlet, spin_eigenstates
 E0 = np.array([1, 0], dtype=complex)
 E1 = np.array([0, 1], dtype=complex)
 PLUS = np.array([1, 1], dtype=complex) / math.sqrt(2)
-
-
-class TestApplyUnitary:
-    def test_identity_leaves_amplitudes(self, rand):
-        state = random_state(rand, 6)
-        out = qcore.apply_unitary(np.eye(2), state, (3, 2), axis=1)
-        np.testing.assert_allclose(out, state, atol=1e-15)
-
-    def test_splitter_spreads_first_port(self):
-        state = np.zeros(3, dtype=complex)
-        state[0] = 1.0
-        out = qcore.apply_unitary(three_port_splitter(), state, (3,), axis=0)
-        np.testing.assert_allclose(np.abs(out), np.full(3, 1 / math.sqrt(3)), atol=1e-12)
-
-    def test_norm_preserved_on_random_states(self, rand):
-        u = three_port_splitter()
-        for _ in range(100):
-            state = random_state(rand, 36)
-            out = qcore.apply_unitary(u, state, JOINT_LAYOUT, axis=2)
-            assert abs(np.linalg.norm(out) - 1.0) < 1e-12
-
-    def test_dimension_mismatch(self, rand):
-        with pytest.raises(ValueError):
-            qcore.apply_unitary(np.eye(3), random_state(rand, 6), (2, 3), axis=0)
-
-    def test_non_unitary_rejected(self, rand):
-        with pytest.raises(ValueError):
-            qcore.apply_unitary(np.ones((2, 2)), random_state(rand, 2), (2,), axis=0)
 
 
 class TestProject:
@@ -242,7 +213,6 @@ class TestWithinAtol:
         proj[0, 0] = bad
         assert not qcore.within_atol(proj, proj)
         assert not qcore.is_projector(proj)
-        assert not qcore.is_unitary(np.diag([bad, 1.0]))
         with pytest.raises(qcore.InvalidPartition):
             qcore.validate_partition([proj, np.outer(E1, E1)], 2)
         with pytest.raises(qcore.InvalidPartition):
