@@ -326,9 +326,14 @@ PINNED = {
     "uneven verify stdout": "b52e0dcedf8ca50c87b26117c07e5ed068c5bbd5f9569653e09d51af395578d1",
     "uneven interfere stdout": "a6359cb81509429b411d197a39d5bcb28c654fb2352423d2c553d2a8142c79ff",
     "uneven erase stdout": "b3142e88dfabfcbdfff3fa31e042525a0ba490b23a94e4e6bc6f129c95483ad1",
+    # an uneven trine whose degrees print as decimals, across a chunk boundary
+    "decimal toolate run.csv": "e426ace7e1fd0adbaa6bd836e8b9ab42defc2c07cb22febecca8548a63214b09",
+    "decimal toolate run.records.jsonl":
+        "ce0dcffb8ce04e9f682ea7b92652d590beee688bf8c6e30237bba3e4cbf49a9a",
 }
 BOUND = ["--angles", "10,130,250", "--port-binding", "2,0,1"]
 UNEVEN = ["--angles", "0,90,200", "--port-binding", "1,2,0"]
+DECIMAL = ["--angles", "33.3,100,271.5", "--port-binding", "2,0,1"]
 
 
 def test_artifacts_match_pinned_hashes(tmp_path, monkeypatch, capsys):
@@ -351,6 +356,7 @@ def test_artifacts_match_pinned_hashes(tmp_path, monkeypatch, capsys):
     for prefix, argv in (
         ("toolate 131073", ["toolate", "--trials", "131073", "--seed", "42", "--out", "run.csv"]),
         ("bound toolate", ["toolate", "--trials", "20000", "--seed", "42", "--out", "run.csv"] + BOUND),
+        ("decimal toolate", ["toolate", "--trials", "70000", "--seed", "8", "--out", "run.csv"] + DECIMAL),
     ):
         subdir = tmp_path / prefix.replace(" ", "_")
         subdir.mkdir()
