@@ -52,8 +52,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _number_list(kind):
+    # kind("") raises, so an empty part or list is a usage error, not skipped
     def parse(text: str) -> list:
-        return [kind(part) for part in text.split(",") if part.strip() != ""]
+        return [kind(part) for part in text.split(",")]
 
     parse.__name__ = f"comma-separated {kind.__name__}"  # named in argparse's error
     return parse
@@ -133,7 +134,7 @@ def _write_run(config: ExperimentConfig) -> None:
     try:
         with open(config.output_path, "w", encoding="utf-8") as table_out:
             opened.append(config.output_path)
-            with open(records_path(config.output_path), "w", encoding="utf-8") as records:
+            with open(records_path(config.output_path), "wb") as records:
                 opened.append(records.name)
                 table_out.write(run_toolate(config, records).to_csv_text(metadata(config)))
     except OSError:

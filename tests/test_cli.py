@@ -222,7 +222,7 @@ def test_write_failure_while_sampling_removes_both_files(tmp_path, monkeypatch, 
     import toolate.cli as cli_module
 
     def failing_run(config, records):
-        records.write("partial\n")
+        records.write(b"partial\n")
         raise OSError("disk full")
 
     monkeypatch.chdir(tmp_path)
@@ -256,6 +256,11 @@ def test_bad_port_binding(capsys):
         (None, ["epr", "--angles", "0,90,nan,135"], "angles"),
         (None, ["verify", "--angles", "0,90,45,135"], "angles"),
         (None, ["toolate", "--angles", "0,360,120"], "distinct"),
+        (None, ["toolate", "--angles", "0,,120,240"], "error: argument --angles:"),
+        (None, ["toolate", "--port-binding", "2,,0,1"], "error: argument --port-binding:"),
+        (None, ["toolate", "--angles", ","], "error: argument --angles:"),
+        (None, ["verify", "--angles="], "error: argument --angles:"),
+        (None, ["epr", "--angles", ""], "error: argument --angles:"),
         ('{"trials": null}', ["verify"], "trials"),
         ('{"trials": 1.7}', ["toolate"], "trials"),
         ('{"trials": true}', ["toolate"], "trials"),
@@ -278,6 +283,11 @@ def test_bad_port_binding(capsys):
         "chsh-angles-nan",
         "verify-four-angles",
         "toolate-orientations-equal-modulo-360",
+        "angles-empty-part",
+        "port-binding-empty-part",
+        "angles-only-a-comma",
+        "angles-empty-after-equals",
+        "angles-empty-string",
         "trials-null",
         "trials-fraction",
         "trials-bool",
@@ -387,10 +397,10 @@ def test_streamed_records_match_whole_text_reference(tmp_path, monkeypatch, tria
 
 
 def test_records_run_holds_a_bounded_python_heap(tmp_path):
-    # 300000 trials make 33 MB of records text.  Written while sampling,
-    # one chunk at a time, the traced peak is about one chunk's fields and
-    # text: 21 MB.  With a whole outcome array it was 31 MB, and with the
-    # whole text built first, 127 MB.
+    # 300000 trials make 33 MB of records.  Written while sampling, one
+    # chunk at a time, the traced peak is about one chunk's format
+    # arguments and bytes: 22 MB.  With a whole outcome array it was 31 MB,
+    # and with the whole text built first, 127 MB.
     tracemalloc.start()
     try:
         code = main(["toolate", "--trials", "300000", "--out", str(tmp_path / "run.csv")])

@@ -99,10 +99,10 @@ class TestRunEpr:
 class TestRunToolate:
     def test_exact_columns(self):
         config = ExperimentConfig(protocol="toolate", trials=0)
-        records = io.StringIO()
+        records = io.BytesIO()
         table = run_toolate(config, records)
         assert sample_protocol(config.trine(), 0, 0).shape == (0, 4)
-        assert records.getvalue().count("\n") == 1  # the metadata line, no records
+        assert records.getvalue().count(b"\n") == 1  # the metadata line, no records
         by_label = {r.label: r for r in table.rows}
         assert abs(by_label["P(vA=up,vB=up)"].exact - 0.25) < 1e-12
         assert by_label["P(oA=0,oB=0|vA=up,vB=up)"].exact == 0.0
@@ -124,9 +124,9 @@ class TestRunToolate:
 
     def test_records_text_fields(self, trine):
         config = ExperimentConfig(protocol="toolate", trials=5, master_seed=1)
-        records = io.StringIO()
+        records = io.BytesIO()
         run_toolate(config, records)
-        lines = records.getvalue().strip().split("\n")
+        lines = records.getvalue().decode("ascii").strip().split("\n")
         assert len(lines) == 6
         assert "meta" in json.loads(lines[0])
         record = json.loads(lines[1])
@@ -142,8 +142,8 @@ class TestRunToolate:
         outcomes = sample_protocol(config.trine(), 5, 1)
         cells = outcomes[2:, 2] * 6 + outcomes[2:, 3]
         tail = records_text(record_tails(config.trine()), 2, trial_seeds(1, 3, 2, _Stream(3)), cells)
-        assert isinstance(tail, str)
-        assert tail == "\n".join(lines[3:]) + "\n"
+        assert isinstance(tail, bytes)
+        assert tail == ("\n".join(lines[3:]) + "\n").encode("ascii")
 
 
 class TestReports:
