@@ -17,6 +17,9 @@ rows, a trial's row is a flat index into it, and the pick counts the
 columns whose entry at that row is at or below the trial's uniform.
 That is the same count of the same float compares as comparing the
 whole row at once, so no pick depends on how the table is laid out.
+
+The value-first orientation tables hold ranks: a trial's drawn values
+select its row, so its exit, 2*rank + value, carries the value drawn.
 """
 
 from __future__ import annotations
@@ -39,15 +42,17 @@ CHUNK = 1 << 16
 
 
 def cumulative(probs: np.ndarray) -> np.ndarray:
-    """Cumulative rows for sampling; the final entry is pinned to 1.
-
-    Kernels select the first index whose cumulative weight exceeds the
-    draw, so zero-width intervals (snapped-impossible outcomes) are
-    never hit.
+    """Cumulative rows for sampling.  Kernels select the first index
+    whose cumulative weight exceeds the draw u < 1, so zero-width
+    intervals (snapped-impossible outcomes) are never hit: every entry
+    from a row's last positive weight on is pinned to 1, however the
+    row's sum rounds.
     """
-    cum = np.cumsum(np.asarray(probs, dtype=np.float64), axis=-1)
-    cum[..., -1] = 1.0
-    return np.ascontiguousarray(cum)
+    probs = np.asarray(probs, dtype=np.float64)
+    cum = np.cumsum(probs, axis=-1)
+    positives = np.cumsum(probs > 0.0, axis=-1)
+    cum[positives == positives[..., -1:]] = 1.0
+    return cum
 
 
 # --- uint64 stream arithmetic -------------------------------------------------
@@ -170,17 +175,16 @@ def protocol_outcomes(
     """Stage outcomes of the trials with these seeds, written into the
     rows of ``out`` (shape (4, len(seeds))) and returned.
 
-    Rows: value_A, value_B, exit_A, exit_B (exit index = 2*rank +
-    value in canonical orientation order).  ``tables`` holds the four
-    stages' ``_columns``.  A trial consumes uniforms 0..3 of its
-    stream, one per stage in recorded order.
+    Rows: value_A, value_B, rank_A, rank_B; a rank is an orientation's
+    place in ascending order, and the values pick the rank tables' row.
+    ``tables`` holds the four stages' ``_columns``.  A trial consumes
+    uniforms 0..3 of its stream, one per stage in recorded order.
     """
-    cva, cvb, cea, ceb = tables
-    va, vb, ea, eb = out
+    cva, cvb, cra, crb = tables
+    va, vb, ra, rb = out
     va[:] = _pick(cva, 0, stream.uniform(seeds, 0))
     vb[:] = _pick(cvb, va, stream.uniform(seeds, 1))
-    row = 2 * va + vb  # flat row of the exit_A table
-    ea[:] = _pick(cea, row, stream.uniform(seeds, 2))
-    n_exit = len(cea) + 1  # exit_A outcomes: one per column, plus the pinned last one
-    eb[:] = _pick(ceb, row * n_exit + ea, stream.uniform(seeds, 3))
+    row = 2 * va + vb  # flat row of the rank_A table
+    ra[:] = _pick(cra, row, stream.uniform(seeds, 2))
+    rb[:] = _pick(crb, 3 * row + ra, stream.uniform(seeds, 3))
     return out

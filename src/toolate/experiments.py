@@ -255,17 +255,14 @@ def run_epr(config: ExperimentConfig) -> EstimateTable:
 
 def _exact_protocol_tables(tree: StageConditionals):
     p_values = tree.p_value_a[:, None] * tree.p_value_b  # (2, 2)
-    # cond[va, vb, ra, rb]; the exit index of rank r and value v is 2*r + v
-    va, vb, ra, rb = np.ix_(range(2), range(2), range(3), range(3))
-    ea = 2 * ra + va
-    cond = tree.p_exit_a[va, vb, ea] * tree.p_exit_b[va, vb, ea, 2 * rb + vb]
+    cond = tree.p_orient_a[..., None] * tree.p_orient_b  # [vA, vB, rA, rB]
     marg_a = (p_values[:, :, None] * cond.sum(axis=3)).reshape(4, 3).sum(axis=0)
     marg_b = (p_values[:, :, None] * cond.sum(axis=2)).reshape(4, 3).sum(axis=0)
     return p_values, cond, marg_a, marg_b
 
 
 def _outcome_chunks(tree: StageConditionals, trials: int, master_seed: int):
-    stages = (tree.p_value_a, tree.p_value_b, tree.p_exit_a, tree.p_exit_b)
+    stages = (tree.p_value_a, tree.p_value_b, tree.p_orient_a, tree.p_orient_b)
     return _kernels.protocol_chunks([_kernels.cumulative(p) for p in stages], master_seed, trials)
 
 
@@ -276,18 +273,19 @@ def sample_protocol(trine: Trine, trials: int, master_seed: int) -> np.ndarray:
     each trial then consumes one uniform per stage in recorded order,
     which reproduces sequential collapse draw for draw (tested against
     the explicit slow path).  The chunks ``run_toolate`` tabulates,
-    gathered into one (trials, 4) array.
+    gathered into one (trials, 4) array, with each rank turned into the
+    exit index of ``exit_labels``: 2*rank + value.
     """
     chunks = _outcome_chunks(stage_conditionals(trine_projectors(trine)), trials, master_seed)
-    blocks = [outcomes.copy() for _, _, outcomes in chunks]
+    blocks = [np.vstack([va, vb, 2 * ra + va, 2 * rb + vb]) for _, _, (va, vb, ra, rb) in chunks]
     return np.concatenate([np.empty((4, 0), dtype=np.int64), *blocks], axis=1).T
 
 
 def run_toolate(config: ExperimentConfig, records: BinaryIO | None = None) -> EstimateTable:
     """Value-first protocol: exact stage statistics plus Monte Carlo.
 
-    A trial enters the table, and the records, only through its cell
-    6*exit_A + exit_B, which fixes both values and both orientations.
+    A trial enters the table, and the records, only through its cell:
+    the flat (2, 2, 3, 3) index of [value_A, value_B, rank_A, rank_B].
     Each chunk is tabulated and, when a binary ``records`` stream is
     given, written to it while in hand as ASCII JSON lines: the
     metadata line first, then ``records_text`` of each chunk.
@@ -306,15 +304,18 @@ def run_toolate(config: ExperimentConfig, records: BinaryIO | None = None) -> Es
         tails = record_tails(trine)
     counts = np.zeros(36, dtype=np.int64)
     cells = np.empty(min(n, _kernels.CHUNK), dtype=np.int64)
-    for start, seeds, (_, _, ea, eb) in _outcome_chunks(tree, n, config.master_seed):
+    for start, seeds, (va, vb, ra, rb) in _outcome_chunks(tree, n, config.master_seed):
         cell = cells[: len(seeds)]
-        np.multiply(ea, 6, out=cell)
-        cell += eb
+        np.multiply(va, 2, out=cell)
+        cell += vb
+        cell *= 3
+        cell += ra
+        cell *= 3
+        cell += rb
         counts += np.bincount(cell, minlength=36)
         if records is not None:
             records.write(records_text(tails, start, seeds, cell))
-    # exit index 2*rank + value: [rA, vA, rB, vB] -> [vA, vB, rA, rB]
-    ccounts = counts.reshape(3, 2, 3, 2).transpose(1, 3, 0, 2)
+    ccounts = counts.reshape(2, 2, 3, 3)
     vcounts = ccounts.sum(axis=(2, 3))
 
     pairs = [(va, vb, f"vA={va.label},vB={vb.label}") for va in SpinValue for vb in SpinValue]
@@ -338,23 +339,23 @@ def run_toolate(config: ExperimentConfig, records: BinaryIO | None = None) -> Es
 
 
 def record_tails(trine: Trine) -> list[bytes]:
-    """A record's fields after "seed", for each cell 6*exit_A + exit_B:
-    the 36 possible tails of a line, each encoded once and ending in a
-    newline."""
+    """A record's fields after "seed", for each cell [value_A, value_B,
+    rank_A, rank_B]: the 36 possible tails of a line, each encoded once
+    and ending in a newline."""
     degs = [degrees_of(t) for t in trine.orientations]
     values = (SpinValue.UP.label, SpinValue.DOWN.label)
     return [
         json.dumps(
             {
-                "value_A": values[ea % 2],
-                "value_B": values[eb % 2],
-                "orient_A": degs[ea // 2],
-                "orient_B": degs[eb // 2],
+                "value_A": values[va],
+                "value_B": values[vb],
+                "orient_A": degs[ra],
+                "orient_B": degs[rb],
             },
             separators=(",", ":"),
         )[1:].encode()
         + b"\n"
-        for ea, eb in np.ndindex(6, 6)
+        for va, vb, ra, rb in np.ndindex(2, 2, 3, 3)
     ]
 
 

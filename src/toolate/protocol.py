@@ -312,8 +312,8 @@ def composed_distribution(
     return table
 
 
-def _snap(probs: np.ndarray) -> np.ndarray:
-    out = np.where(probs <= qcore.ZERO_PROB, 0.0, probs)
+def _snap(probs) -> np.ndarray:
+    out = np.where(np.asarray(probs) <= qcore.ZERO_PROB, 0.0, probs)
     total = out.sum()
     return out / total
 
@@ -325,20 +325,23 @@ class StageConditionals:
     Derived once from the prepared pair by actual projection and
     collapse; a Monte Carlo trial then consumes one uniform per stage
     against these tables, which reproduces sequential measurement
-    draw for draw.  Entries at or below 1e-12 are snapped to zero so
-    impossible exits are never sampled.
+    draw for draw.  The orientation stages are indexed by rank, an
+    orientation's place in ascending order; given the drawn value v,
+    rank r is exit 2*r + v.  Entries at or below 1e-12 are snapped to
+    zero so impossible exits are never sampled.
     """
 
     trine: Trine
     p_value_a: np.ndarray          # (2,)
     p_value_b: np.ndarray          # (2, 2)    [vA, vB]
-    p_exit_a: np.ndarray           # (2, 2, 6) [vA, vB, eA]
-    p_exit_b: np.ndarray           # (2, 2, 6, 6) [vA, vB, eA, eB]
+    p_orient_a: np.ndarray         # (2, 2, 3) [vA, vB, rA]
+    p_orient_b: np.ndarray         # (2, 2, 3, 3) [vA, vB, rA, rB]
 
 
 def stage_conditionals(projectors: TrineProjectors) -> StageConditionals:
     """The stage tables of ``projectors.trine``, by projecting its
-    prepared pair with the trine's families."""
+    prepared pair with the trine's families.  Each orientation stage
+    projects only onto the exits of the value drawn before it."""
     trine = projectors.trine
     start = prepare_joint(trine)
     proj_a, proj_b = projectors.value
@@ -346,8 +349,8 @@ def stage_conditionals(projectors: TrineProjectors) -> StageConditionals:
 
     p_value_a = np.zeros(2)
     p_value_b = np.zeros((2, 2))
-    p_exit_a = np.zeros((2, 2, PARTICLE_DIM))
-    p_exit_b = np.zeros((2, 2, PARTICLE_DIM, PARTICLE_DIM))
+    p_orient_a = np.zeros((2, 2, PATH_DIM))
+    p_orient_b = np.zeros((2, 2, PATH_DIM, PATH_DIM))
 
     for va in SpinValue:
         prob_a, state_a = qcore.project(proj_a[va], start.vec)
@@ -355,27 +358,16 @@ def stage_conditionals(projectors: TrineProjectors) -> StageConditionals:
         for vb in SpinValue:
             prob_b, state_b = qcore.project(proj_b[vb], state_a)
             p_value_b[va, vb] = prob_b
-            for ea, exit_a in enumerate(exits_a):
-                prob_ea = qcore.projection_probability(exit_a, state_b)
-                p_exit_a[va, vb, ea] = prob_ea
-                if prob_ea <= qcore.ZERO_PROB:
-                    continue
-                _, state_ea = qcore.project(exit_a, state_b)
-                for eb, exit_b in enumerate(exits_b):
-                    p_exit_b[va, vb, ea, eb] = qcore.projection_probability(exit_b, state_ea)
-
-    p_value_a = _snap(p_value_a)
-    p_value_b = np.stack([_snap(row) for row in p_value_b])
-    for va in SpinValue:
-        for vb in SpinValue:
-            p_exit_a[va, vb] = _snap(p_exit_a[va, vb])
-            for ea in range(PARTICLE_DIM):
-                row = p_exit_b[va, vb, ea]
-                if p_exit_a[va, vb, ea] == 0.0:
-                    p_exit_b[va, vb, ea] = 0.0
-                else:
-                    p_exit_b[va, vb, ea] = _snap(row)
-    return StageConditionals(trine, p_value_a, p_value_b, p_exit_a, p_exit_b)
+            ranks_a = exits_a[va::2]  # rank r of value va is exit 2*r + va
+            p_orient_a[va, vb] = _snap([qcore.projection_probability(p, state_b) for p in ranks_a])
+            for ra, exit_a in enumerate(ranks_a):
+                if p_orient_a[va, vb, ra] > 0.0:
+                    _, state_ra = qcore.project(exit_a, state_b)
+                    p_orient_b[va, vb, ra] = _snap(
+                        [qcore.projection_probability(p, state_ra) for p in exits_b[vb::2]]
+                    )
+        p_value_b[va] = _snap(p_value_b[va])
+    return StageConditionals(trine, _snap(p_value_a), p_value_b, p_orient_a, p_orient_b)
 
 
 @dataclass(frozen=True)

@@ -170,8 +170,9 @@ def sample(state, partition, rng: TrialRng) -> tuple[int, np.ndarray]:
 
     One uniform is consumed per call: outcome = first index whose
     cumulative Born weight exceeds the draw.  Weights at or below 1e-12
-    are snapped to zero first, so analytically impossible outcomes are
-    never produced.
+    are snapped to zero first, and every cumulative entry from the last
+    positive weight onward is pinned to 1, so analytically impossible
+    outcomes are never produced.
     """
     arr = require_normalized(state)
     ops = validate_partition(partition, arr.size)
@@ -181,7 +182,7 @@ def sample(state, partition, rng: TrialRng) -> tuple[int, np.ndarray]:
     if abs(total - 1.0) > ATOL:
         raise InvalidPartition(f"probabilities sum to {total}, expected 1")
     cum = np.cumsum(probs / total)
-    cum[-1] = 1.0
+    cum[np.flatnonzero(probs)[-1]:] = 1.0
     u = rng.uniform()
     index = int(np.searchsorted(cum, u, side="right"))
     post = (ops[index] @ arr) / np.sqrt(probs[index])

@@ -208,15 +208,17 @@ def categorical_counts_reference(cum_rows, master_seed: int, trials: int) -> np.
     return counts
 
 
-def protocol_outcomes_reference(cum_va, cum_vb, cum_ea, cum_eb, master_seed: int, trials: int):
-    """``_kernels.protocol_outcomes`` gathering each trial's whole
-    cumulative row and counting the entries at or below its uniform."""
+def protocol_outcomes_reference(cum_va, cum_vb, cum_ra, cum_rb, master_seed: int, trials: int):
+    """``experiments.sample_protocol`` from the four stages' cumulative
+    tables, gathering each trial's whole cumulative row and counting the
+    entries at or below its uniform.  The orientation tables are
+    rank-indexed; each rank r is returned as the exit 2*r + value."""
     out = np.empty((trials, 4), dtype=np.int64)
     for start in range(0, trials, _CHUNK):
         seeds = _trial_seeds_reference(int(master_seed), min(_CHUNK, trials - start), start)
         va = np.searchsorted(cum_va, _uniform_reference(seeds, 0), side="right")
         vb = np.sum(cum_vb[va] <= _uniform_reference(seeds, 1)[:, None], axis=1)
-        ea = np.sum(cum_ea[va, vb] <= _uniform_reference(seeds, 2)[:, None], axis=1)
-        eb = np.sum(cum_eb[va, vb, ea] <= _uniform_reference(seeds, 3)[:, None], axis=1)
-        out[start : start + _CHUNK] = np.column_stack([va, vb, ea, eb])
+        ra = np.sum(cum_ra[va, vb] <= _uniform_reference(seeds, 2)[:, None], axis=1)
+        rb = np.sum(cum_rb[va, vb, ra] <= _uniform_reference(seeds, 3)[:, None], axis=1)
+        out[start : start + _CHUNK] = np.column_stack([va, vb, 2 * ra + va, 2 * rb + vb])
     return out

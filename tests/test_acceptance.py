@@ -124,9 +124,7 @@ def test_criterion_04_orientation_anticorrelation():
         cond = np.zeros((3, 3))
         for ra in range(3):
             for rb in range(3):
-                cond[ra, rb] = (
-                    tree.p_exit_a[v, v, 2 * ra + v] * tree.p_exit_b[v, v, 2 * ra + v, 2 * rb + v]
-                )
+                cond[ra, rb] = tree.p_orient_a[v, v, ra] * tree.p_orient_b[v, v, ra, rb]
         if np.max(np.abs(np.diag(cond))) > 1e-14:
             failures.append("same-orientation probability not exactly zero")
         off = cond[~np.eye(3, dtype=bool)]
@@ -291,9 +289,9 @@ def test_criterion_10_port_binding_invariance():
         checks = {
             "value stage": np.max(np.abs(tree.p_value_a - base_tree.p_value_a)),
             "partner value stage": np.max(np.abs(tree.p_value_b - base_tree.p_value_b)),
-            "exit stages": max(
-                float(np.max(np.abs(tree.p_exit_a - base_tree.p_exit_a))),
-                float(np.max(np.abs(tree.p_exit_b - base_tree.p_exit_b))),
+            "orientation stages": max(
+                float(np.max(np.abs(tree.p_orient_a - base_tree.p_orient_a))),
+                float(np.max(np.abs(tree.p_orient_b - base_tree.p_orient_b))),
             ),
             "joint table": np.max(
                 np.abs(joint_distribution(prepare_joint(other)) - base_joint)

@@ -138,9 +138,10 @@ class TestRunToolate:
             assert record["trial"] == i
             assert record["seed"] == trial_seed(1, record["trial"])
         assert json.loads(lines[0]) == {"meta": metadata(config)}
-        # one chunk's text, numbered from its first trial; the cell is 6*exit_A + exit_B
-        outcomes = sample_protocol(config.trine(), 5, 1)
-        cells = outcomes[2:, 2] * 6 + outcomes[2:, 3]
+        # one chunk's text, numbered from its first trial; the cell is the
+        # flat index of [value_A, value_B, rank_A, rank_B], and rank = exit // 2
+        va, vb, ea, eb = sample_protocol(config.trine(), 5, 1)[2:].T
+        cells = np.ravel_multi_index((va, vb, ea // 2, eb // 2), (2, 2, 3, 3))
         tail = records_text(record_tails(config.trine()), 2, trial_seeds(1, 3, 2, _Stream(3)), cells)
         assert isinstance(tail, bytes)
         assert tail == ("\n".join(lines[3:]) + "\n").encode("ascii")

@@ -1,12 +1,15 @@
+import io
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
 
 from oracles import categorical_counts_reference, protocol_outcomes_reference
-from toolate import _kernels
-from toolate.experiments import ExperimentConfig, sample_protocol
+from toolate import _kernels, qcore
+from toolate.experiments import ExperimentConfig, run_toolate, sample_protocol
 from toolate.protocol import exit_labels, run_trial, stage_conditionals, trine_projectors
 from toolate.rng import TrialRng, mix64, trial_seed, uniform_at
 from toolate.spinlab import joint_value_probabilities
@@ -96,10 +99,10 @@ def test_protocol_outcomes_match_gather_reference(angles, binding, seed):
     trine = ExperimentConfig("toolate", angles=angles, port_binding=binding).trine()
     tree = stage_conditionals(trine_projectors(trine))
     cums = [_kernels.cumulative(p)
-            for p in (tree.p_value_a, tree.p_value_b, tree.p_exit_a, tree.p_exit_b)]
+            for p in (tree.p_value_a, tree.p_value_b, tree.p_orient_a, tree.p_orient_b)]
     got = sample_protocol(trine, SWEEP_TRIALS, seed)
     assert np.array_equal(got, protocol_outcomes_reference(*cums, seed, SWEEP_TRIALS))
-    # an exit carries the value sampled before it, so 6*exit_A + exit_B fixes all four stages
+    # an exit carries the value sampled before it
     assert np.array_equal(got[:, 2] % 2, got[:, 0]) and np.array_equal(got[:, 3] % 2, got[:, 1])
 
 
@@ -116,14 +119,20 @@ def test_categorical_counts_match_searchsorted_reference(angles, seed):
 def test_pick_at_threshold_edges():
     """Uniforms on each cumulative entry and one ulp either side of it,
     against the rule "first index whose entry is above u"."""
-    cum = _kernels.cumulative(np.array([
+    top = np.nextafter(1.0, 0.0)  # the largest uniform the stream gives
+    probs = np.array([
         [0.1, 0.2, 0.3, 0.15, 0.25],
         [0.25, 0.0, 0.0, 0.5, 0.25],  # zero-width intervals
         [0.0, 0.0, 0.0, 0.0, 1.0],  # all mass in the last entry
-        [0.5, 0.5000000000000002, 0.0, 0.0, 0.0],  # cumsum above 1 before the pin
-    ]))
-    assert cum[3, 1] > 1.0
-    edges = np.append(cum.ravel(), [0.0, np.nextafter(1.0, 0.0)])  # the extreme uniforms
+        [0.5, 0.5000000000000002, 0.0, 0.0, 0.0],  # cumsum above 1 before a zero
+        [0.25, 0.75 - 2.0**-53, 0.0, 0.0, 0.0],  # cumsum 1 - 2**-53 before a zero
+    ])
+    assert np.cumsum(probs[3])[1] > 1.0 and np.cumsum(probs[4])[1] == top
+    cum = _kernels.cumulative(probs)
+    for p, row in zip(probs, cum):
+        # every entry from the last positive weight on is pinned to 1
+        assert np.all(row[np.flatnonzero(p)[-1]:] == 1.0)
+    edges = np.append(cum.ravel(), [0.0, top])  # the extreme uniforms
     u = np.unique(np.concatenate(
         [np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)]))
     u = u[(u >= 0.0) & (u < 1.0)]
@@ -131,6 +140,46 @@ def test_pick_at_threshold_edges():
     want = [[next(j for j, c in enumerate(row) if c > x) for x in u] for row in cum]
     for r in range(len(cum)):
         assert _kernels._pick(columns, r, u).tolist() == want[r]
+        assert np.all(probs[r, want[r]] > 0.0)  # no zero-width interval is picked
     rows = np.repeat(np.arange(len(cum)), len(u))
     per_trial = _kernels._pick(columns, rows, np.tile(u, len(cum)))
     assert per_trial.tolist() == sum(want, [])
+
+
+def test_collapse_sampler_pins_the_last_possible_outcome():
+    """At the largest uniform, ``qcore.sample`` picks the last outcome
+    of positive weight, not the zero-weight one after it.  This state's
+    normalized cumulative weights are (0.81..., 1 - 2**-53, 1 - 2**-53)."""
+
+    class Top:
+        def uniform(self):
+            return float(np.nextafter(1.0, 0.0))
+
+    t = 7 * math.pi / 50
+    basis = [np.diag(np.eye(3)[i]).astype(complex) for i in range(3)]
+    index, post = qcore.sample(np.array([math.cos(t), math.sin(t), 0.0]), basis, Top())
+    assert index == 1
+    assert np.array_equal(post, basis[1][:, 1])
+
+
+def test_collapse_path_at_a_seed_whose_uniform_passes_the_row_sum():
+    """Trial 0 of this seed draws vA=down, vB=up, exit_A 3, then a
+    uniform at or above the exit_B row's cumulative sum of 1 - 2**-53.
+    The last possible exit, 4, is picked on both routes; the records
+    carry the values that were drawn."""
+    seed = 6462044029988064744
+    trine = ExperimentConfig("toolate").trine()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        record = run_trial(trine, TrialRng.for_trial(seed, 0), 0)
+    exits = exit_labels(trine)
+    row = [int(record.value_a), int(record.value_b),
+           exits.index(record.exit_a), exits.index(record.exit_b)]
+    assert row == sample_protocol(trine, 1, seed)[0].tolist() == [1, 0, 3, 4]
+    records = io.BytesIO()
+    run_toolate(ExperimentConfig("toolate", trials=100, master_seed=seed), records)
+    labels = ("up", "down")
+    outcomes = sample_protocol(trine, 100, seed).tolist()
+    drawn = [(labels[va], labels[vb]) for va, vb, _, _ in outcomes]
+    lines = map(json.loads, records.getvalue().splitlines()[1:])
+    assert [(r["value_A"], r["value_B"]) for r in lines] == drawn

@@ -181,9 +181,7 @@ class TestMeasurement:
         cond = np.zeros((3, 3))
         for ra in range(3):
             for rb in range(3):
-                cond[ra, rb] = (
-                    tree.p_exit_a[0, 0, 2 * ra] * tree.p_exit_b[0, 0, 2 * ra, 2 * rb]
-                )
+                cond[ra, rb] = tree.p_orient_a[0, 0, ra] * tree.p_orient_b[0, 0, ra, rb]
         np.testing.assert_allclose(np.diag(cond), np.zeros(3), atol=1e-14)
         off = cond[~np.eye(3, dtype=bool)]
         np.testing.assert_allclose(off, np.full(6, 1 / 6), atol=1e-12)
@@ -269,24 +267,18 @@ class TestRecords:
 class TestStageConditionals:
     def test_snapped_zeros_are_exact(self, trine):
         tree = stage_conditionals(trine_projectors(trine))
-        for va in range(2):
-            for vb in range(2):
-                for ea in range(6):
-                    if ea % 2 != va:
-                        assert tree.p_exit_a[va, vb, ea] == 0.0
-        # equal values forbid the matching exit on the partner side
+        # equal values forbid the matching orientation on the partner side
         for v in range(2):
             for rank in range(3):
-                ea = 2 * rank + v
-                assert tree.p_exit_b[v, v, ea, ea] == 0.0
+                assert tree.p_orient_b[v, v, rank, rank] == 0.0
 
     def test_rows_renormalized(self, trine):
         tree = stage_conditionals(trine_projectors(trine))
         assert abs(tree.p_value_a.sum() - 1.0) < 1e-15
         for va in range(2):
             for vb in range(2):
-                assert abs(tree.p_exit_a[va, vb].sum() - 1.0) < 1e-14
-                for ea in range(6):
-                    total = tree.p_exit_b[va, vb, ea].sum()
-                    if tree.p_exit_a[va, vb, ea] > 0:
+                assert abs(tree.p_orient_a[va, vb].sum() - 1.0) < 1e-14
+                for ra in range(3):
+                    total = tree.p_orient_b[va, vb, ra].sum()
+                    if tree.p_orient_a[va, vb, ra] > 0:
                         assert abs(total - 1.0) < 1e-14
