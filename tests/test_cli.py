@@ -312,6 +312,7 @@ def test_bad_config_boundary_is_one_error_line(tmp_path, capsys, config_text, ar
 
 
 # sha256 of artifacts and stdout; a change here changes the bytes users get
+EMPTY = hashlib.sha256(b"").hexdigest()
 PINNED = {
     "toolate run.csv": "590917c41a7a54d534af0868747ddf63f1aaf832e9b4be6a28769002727b31c7",
     "toolate run.records.jsonl": "511b84d48733c10495709cdb0b3128ee1ae4c6c3868c95e1f0f8982797e67b32",
@@ -379,6 +380,42 @@ def test_artifacts_match_pinned_hashes(tmp_path, monkeypatch, capsys):
             assert main([command] + flags) == 0
             got[f"{prefix} {command} stdout"] = sha(capsys.readouterr().out.encode("utf-8"))
     assert got == PINNED
+
+
+# exit code and sha256 of (stdout, stderr) for help and usage errors,
+# at an 80-column terminal; the parser builds only the invoked
+# subcommand's arguments, and none of this may change
+USAGE_PINNED = {
+    "toolate --help": (0, "7464b5e8417c98448afbc3ed51da3f7c28737f6927e0a36ef407c816f870d107", EMPTY),
+    "toolate epr --help": (0, "49e43f3f71477c23802e05e13ad141423e10754a50282e759fb579a4e3a7f4e8", EMPTY),
+    "toolate toolate --help":
+        (0, "3bfa633eaee0c177ad5430e346d8b542cfcfee6cd9a3df86b406099d9026c1d3", EMPTY),
+    "toolate interfere --help":
+        (0, "00a68a78c34046a38ae19a4d9671ae47bcde60a3420cb8453945901910290abb", EMPTY),
+    "toolate erase --help": (0, "2afa54607d936deabd95db6a9217e3c002c6f51df2f3f5cdc114637105c01bd0", EMPTY),
+    "toolate lhv --help": (0, "a751228dfb1b9c07c55f6b8271db3d1626cb6e0b6cf33fae89852fbef4e54597", EMPTY),
+    "toolate verify --help":
+        (0, "367a8dcf32c8496b9a51cacd44d881a9d111e200b4677c24e5f080caeeea65f9", EMPTY),
+    "toolate nope": (1, EMPTY, "8863385940b40f22cebd0670d049e4089053b3c97cf074a707fb54c1d48f581e"),
+    "toolate epr --bogus": (1, EMPTY, "40d860d0795c984766cd36f2a79a0085419386b2c892b1f74830e1aec0b4abeb"),
+    "toolate toolate verify":
+        (1, EMPTY, "10275fe00b6f30428fa1902ff68782d82b104fd909e9bf06373feb3f617fdda5"),
+    "toolate": (1, EMPTY, "4665138502741e97bc666a1a412253bc417ea77ce35fa2eee74a07b0efbf7a9a"),
+}
+
+
+def test_help_and_usage_errors_match_pinned_hashes(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    sha = lambda text: hashlib.sha256(text.encode("utf-8")).hexdigest()
+    got = {}
+    for name in USAGE_PINNED:
+        try:
+            code = main(name.split()[1:])
+        except SystemExit as exc:  # --help prints and exits
+            code = exc.code
+        captured = capsys.readouterr()
+        got[name] = (code, sha(captured.out), sha(captured.err))
+    assert got == USAGE_PINNED
 
 
 @pytest.mark.parametrize("trials", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
