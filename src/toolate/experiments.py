@@ -17,7 +17,7 @@ from typing import Any, BinaryIO
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, qcore
 from ._version import __version__
 from .audit import (
     literal_value_state,
@@ -227,9 +227,11 @@ def run_epr(config: ExperimentConfig) -> EstimateTable:
     s_est = s_err = None
     n = config.trials
     if n > 0:
-        cum = _kernels.cumulative(
-            np.array([joint_value_probabilities(x, y) for _, x, y in pairs])
-        )
+        probs = np.array([joint_value_probabilities(x, y) for _, x, y in pairs])
+        # rounding dust on an impossible pair (equal settings give ~1e-32
+        # on uu and dd) is zeroed, not renormalized, so it is never drawn
+        probs[probs <= qcore.ZERO_PROB] = 0.0
+        cum = _kernels.cumulative(probs)
         counts = _kernels.categorical_counts(cum, config.master_seed, n)
         signs = np.array([1.0, -1.0, -1.0, 1.0])  # uu, ud, du, dd
         estimates = [float(counts[i] @ signs) / n for i in range(4)]

@@ -160,13 +160,30 @@ def prepare_joint(trine: Trine) -> JointState:
     return JointState(vec, trine)
 
 
-def _particle_operator(op6: np.ndarray, particle: int) -> np.ndarray:
+def _lift(ops6: np.ndarray, particle: int) -> np.ndarray:
+    """6x6 operators on one particle, shape (..., 6, 6), as 36x36
+    operators on the pair: kron(op, I) for A and kron(I, op) for B, by
+    the same broadcast product ``np.kron`` makes.  It runs one operator
+    at a time, into one output: numpy gives each operand of a broadcast
+    product a buffer of up to 8192 elements, so one product over a
+    six-member family would hold three times its output."""
     eye = np.eye(PARTICLE_DIM, dtype=complex)
-    if particle == PARTICLE_A:
-        return np.kron(op6, eye)
-    if particle == PARTICLE_B:
-        return np.kron(eye, op6)
-    raise ValueError("particle must be 0 (A) or 1 (B)")
+    if particle not in (PARTICLE_A, PARTICLE_B):
+        raise ValueError("particle must be 0 (A) or 1 (B)")
+    ops6 = np.asarray(ops6)
+    out = np.empty(ops6.shape[:-2] + (JOINT_DIM, JOINT_DIM), dtype=complex)
+    blocks = out.reshape((-1,) + (PARTICLE_DIM,) * 4)
+    for op, block in zip(ops6.reshape(-1, PARTICLE_DIM, PARTICLE_DIM), blocks):
+        if particle == PARTICLE_A:
+            np.multiply(op[:, None, :, None], eye[:, None, :], out=block)
+        else:
+            np.multiply(eye[:, None, :, None], op[None, :, None, :], out=block)
+    return out
+
+
+def _value_blocks(basis: np.ndarray) -> np.ndarray:
+    """The 6x6 (P_up, P_down) of one particle, from its exit basis."""
+    return np.array([basis[:, v::2] @ basis[:, v::2].conj().T for v in SpinValue])
 
 
 def value_projectors(trine: Trine, particle: int) -> tuple[np.ndarray, np.ndarray]:
@@ -175,16 +192,12 @@ def value_projectors(trine: Trine, particle: int) -> tuple[np.ndarray, np.ndarra
     P_up sums |port(o)><port(o)| (x) |up(o)><up(o)| over the trine; the
     orientation stays superposed.  P_up + P_down is the identity.
     """
-    basis = exit_basis(trine)
-    return tuple(
-        _particle_operator(basis[:, v::2] @ basis[:, v::2].conj().T, particle)
-        for v in SpinValue
-    )
+    return tuple(_lift(_value_blocks(exit_basis(trine)), particle))
 
 
 def exit_projector(trine: Trine, particle: int, label: ExitLabel) -> np.ndarray:
     vec = exit_vector(trine, label)
-    return _particle_operator(np.outer(vec, vec.conj()), particle)
+    return _lift(np.outer(vec, vec.conj()), particle)
 
 
 class TrineProjectors(NamedTuple):
@@ -202,16 +215,16 @@ class TrineProjectors(NamedTuple):
 
 
 def trine_projectors(trine: Trine) -> TrineProjectors:
-    """Build and check the four families of ``trine``."""
-    labels = exit_labels(trine)
+    """Build and check the four families of ``trine``, from one exit
+    basis: each family's 6x6 blocks are lifted to the pair at once."""
+    basis = exit_basis(trine)
+    # exit e's projector is the outer product of basis column e
+    exits = basis.T[:, :, None] * basis.T.conj()[:, None, :]
     particles = (PARTICLE_A, PARTICLE_B)
     return TrineProjectors(
         trine,
-        tuple(qcore.ProjectorFamily(value_projectors(trine, p)) for p in particles),
-        tuple(
-            qcore.ProjectorFamily([exit_projector(trine, p, lab) for lab in labels])
-            for p in particles
-        ),
+        tuple(qcore.ProjectorFamily(_lift(_value_blocks(basis), p)) for p in particles),
+        tuple(qcore.ProjectorFamily(_lift(exits, p)) for p in particles),
     )
 
 
@@ -279,6 +292,10 @@ def composed_distribution(
     ``order`` interleaves the four stages (value/orientation for each
     particle) with each particle's value before its orientation.  Used
     as the ordering-invariance oracle against ``joint_distribution``.
+    Each branch weighs every member of its stage's family in one
+    ``qcore.projections`` product, all six exits for an orientation
+    stage, and each child branch collapses by dividing its projected row
+    by the square root of its weight.
     """
     if sorted(order) != ["oA", "oB", "vA", "vB"]:
         raise ValueError("order must contain vA, vB, oA, oB exactly once")
@@ -299,15 +316,15 @@ def composed_distribution(
             table[outcome["oA"], outcome["oB"]] += weight
             continue
         tag = order[stage]
-        for name, proj in enumerate(partitions[tag]):
-            prob = qcore.projection_probability(proj, vec)
+        probs, rows = qcore.projections(partitions[tag].stack, vec)
+        for name, prob in enumerate(probs):
             if prob <= qcore.ZERO_PROB:
                 continue
             if tag[0] == "o" and labels[name].value != outcome["v" + tag[1]]:
                 # exits conflicting with the recorded value carry zero
                 # weight; reaching here would mean a broken collapse
                 raise AssertionError("nonzero weight on a value-inconsistent exit")
-            post = (proj @ vec) / np.sqrt(prob)
+            post = rows[name] / np.sqrt(prob)
             pending.append((stage + 1, post, weight * prob, {**outcome, tag: name}))
     return table
 
@@ -340,8 +357,11 @@ class StageConditionals:
 
 def stage_conditionals(projectors: TrineProjectors) -> StageConditionals:
     """The stage tables of ``projectors.trine``, by projecting its
-    prepared pair with the trine's families.  Each orientation stage
-    projects only onto the exits of the value drawn before it."""
+    prepared pair with the trine's families.  The value stages collapse
+    through ``qcore.project``.  Each orientation stage projects only onto
+    the exits of the value drawn before it, ``stack[v::2]``, in one
+    ``qcore.projections`` product, and A's exit collapses reuse its
+    projected rows."""
     trine = projectors.trine
     start = prepare_joint(trine)
     proj_a, proj_b = projectors.value
@@ -358,14 +378,14 @@ def stage_conditionals(projectors: TrineProjectors) -> StageConditionals:
         for vb in SpinValue:
             prob_b, state_b = qcore.project(proj_b[vb], state_a)
             p_value_b[va, vb] = prob_b
-            ranks_a = exits_a[va::2]  # rank r of value va is exit 2*r + va
-            p_orient_a[va, vb] = _snap([qcore.projection_probability(p, state_b) for p in ranks_a])
-            for ra, exit_a in enumerate(ranks_a):
+            # rank r of value va is exit 2*r + va
+            probs_a, rows_a = qcore.projections(exits_a.stack[va::2], state_b)
+            p_orient_a[va, vb] = _snap(probs_a)
+            for ra in range(PATH_DIM):
                 if p_orient_a[va, vb, ra] > 0.0:
-                    _, state_ra = qcore.project(exit_a, state_b)
-                    p_orient_b[va, vb, ra] = _snap(
-                        [qcore.projection_probability(p, state_ra) for p in exits_b[vb::2]]
-                    )
+                    state_ra = rows_a[ra] / np.sqrt(probs_a[ra])
+                    probs_b, _ = qcore.projections(exits_b.stack[vb::2], state_ra)
+                    p_orient_b[va, vb, ra] = _snap(probs_b)
         p_value_b[va] = _snap(p_value_b[va])
     return StageConditionals(trine, _snap(p_value_a), p_value_b, p_orient_a, p_orient_b)
 

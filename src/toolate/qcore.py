@@ -77,12 +77,28 @@ def is_projector(op) -> bool:
     return within_atol(p, dagger(p)) and within_atol(p @ p, p)
 
 
-def projection_probability(proj, state) -> float:
-    p = np.asarray(proj, dtype=complex)
-    arr = as_state(state)
-    val = float(np.real(np.vdot(arr, p @ arr)))
+def _born_weight(arr: np.ndarray, projected: np.ndarray) -> float:
+    val = float(np.real(np.vdot(arr, projected)))
     # clip rounding dust outside [0, 1]
     return min(max(val, 0.0), 1.0)
+
+
+def projection_probability(proj, state) -> float:
+    arr = as_state(state)
+    return _born_weight(arr, np.asarray(proj, dtype=complex) @ arr)
+
+
+def projections(stack, state) -> tuple[np.ndarray, np.ndarray]:
+    """Born weight and projected vector of every projector in ``stack``.
+
+    ``stack`` is a (k, d, d) array, such as a family's ``stack`` or a
+    slice of it.  One product gives all k projected vectors as rows,
+    ``stack @ state``; weight i equals ``projection_probability`` of
+    member i bit for bit.  The state is checked once, not per member.
+    """
+    arr = as_state(state)
+    rows = np.asarray(stack, dtype=complex) @ arr
+    return np.array([_born_weight(arr, row) for row in rows]), rows
 
 
 def project(proj, state) -> tuple[float, np.ndarray]:
@@ -144,21 +160,29 @@ class ProjectorFamily(tuple):
     """A complete orthogonal projector family, checked once when built.
 
     Building one runs every ``validate_partition`` check on the given
-    operators and raises InvalidPartition as that does.  The members are
-    read-only copies, so they stay what was checked: ``is_projector``
-    trusts them, and ``validate_partition`` checks only the dimension.
+    operators and raises InvalidPartition as that does.  The checked
+    operators are copied once into ``stack``, a read-only (k, d, d)
+    array, and each member is a read-only view of its slice, so the
+    members stay what was checked: ``is_projector`` trusts them, and
+    ``validate_partition`` checks only the dimension.  ``projections``
+    takes ``stack``, or a slice of it, to weigh every member at once.
     """
+
+    stack: np.ndarray
 
     def __new__(cls, partition):
         ops = list(partition)
         shape = np.shape(ops[0]) if ops else ()
+        stack = np.array(validate_partition(ops, shape[0] if shape else 0))
+        stack.flags.writeable = False
         members = []
-        for op in validate_partition(ops, shape[0] if shape else 0):
-            member = op.copy().view(_Member)
-            member.flags.writeable = False
+        for op in stack:
+            member = op.view(_Member)
             member.checked = True
             members.append(member)
-        return super().__new__(cls, members)
+        family = super().__new__(cls, members)
+        family.stack = stack
+        return family
 
     @property
     def dim(self) -> int:
@@ -172,11 +196,14 @@ def sample(state, partition, rng: TrialRng) -> tuple[int, np.ndarray]:
     cumulative Born weight exceeds the draw.  Weights at or below 1e-12
     are snapped to zero first, and every cumulative entry from the last
     positive weight onward is pinned to 1, so analytically impossible
-    outcomes are never produced.
+    outcomes are never produced.  Weights and collapsed states come
+    from one ``projections`` product over the family's stack; the drawn
+    row is divided by the square root of its weight, not projected again.
     """
     arr = require_normalized(state)
     ops = validate_partition(partition, arr.size)
-    probs = np.array([projection_probability(p, arr) for p in ops])
+    stack = partition.stack if isinstance(partition, ProjectorFamily) else np.array(ops)
+    probs, rows = projections(stack, arr)
     probs[probs <= ZERO_PROB] = 0.0
     total = probs.sum()
     if abs(total - 1.0) > ATOL:
@@ -185,7 +212,7 @@ def sample(state, partition, rng: TrialRng) -> tuple[int, np.ndarray]:
     cum[np.flatnonzero(probs)[-1]:] = 1.0
     u = rng.uniform()
     index = int(np.searchsorted(cum, u, side="right"))
-    post = (ops[index] @ arr) / np.sqrt(probs[index])
+    post = rows[index] / np.sqrt(probs[index])
     return index, post
 
 

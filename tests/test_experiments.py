@@ -18,6 +18,7 @@ from toolate.experiments import (
     run_verify,
     sample_protocol,
 )
+from toolate import _kernels
 from toolate._kernels import _Stream, trial_seeds
 from toolate.protocol import degrees_of
 from toolate.rng import trial_seed
@@ -85,6 +86,25 @@ class TestRunEpr:
         table = run_epr(config)
         # first row pairs the two nearly equal settings
         assert abs(table.rows[0].exact + 1.0) < 1e-12
+
+    def test_equal_settings_never_sample_an_impossible_pair(self, monkeypatch):
+        # 30 and 390 degrees are one setting: (up, up) and (down, down)
+        # have weight 0 analytically, about 1.8e-32 after rounding
+        cums = []
+
+        def categorical_counts(cum, seed, n):
+            cums.append(cum.copy())
+            return original(cum, seed, n)
+
+        original = _kernels.categorical_counts
+        monkeypatch.setattr(_kernels, "categorical_counts", categorical_counts)
+        config = ExperimentConfig(
+            protocol="epr_standard", angles=(30.0, 90.0, 390.0, 135.0), trials=10, master_seed=3
+        )
+        run_epr(config)
+        row = cums[0][0]  # E(30,390)
+        assert row[0] == 0.0
+        assert np.all(row[2:] == 1.0)
 
     def test_csv_text_shape(self):
         config = ExperimentConfig(protocol="epr_standard", trials=0)

@@ -10,11 +10,18 @@ from toolate import qcore
 from toolate.audit import oracle_conditional_state
 from toolate.protocol import (
     JOINT_LAYOUT,
+    PARTICLE_A,
+    PARTICLE_B,
     STAGE_ORDERS,
+    Trine,
     composed_distribution,
+    exit_labels,
+    exit_projector,
+    exit_vector,
     prepare_joint,
     stage_conditionals,
     trine_projectors,
+    value_projectors,
 )
 from toolate.rng import TrialRng
 from toolate.spinlab import SpinValue, singlet, spin_eigenstates
@@ -190,6 +197,64 @@ class TestProjectorFamily:
         composed_distribution(prepare_joint(trine), STAGE_ORDERS[0], projectors)
         assert len(checked) > len(members)  # project still asks about every projector
         assert not full  # and nothing is checked again
+
+
+# trines with their port bindings: the default, an uneven one, one whose
+# degrees print as decimals, and a rotated even one
+STACKED_TRINES = [
+    ((0, 120, 240), (0, 1, 2)),
+    ((0, 90, 200), (1, 2, 0)),
+    ((33.3, 100, 271.5), (2, 0, 1)),
+    ((10, 130, 250), (2, 1, 0)),
+]
+
+
+class TestProjections:
+    """``projections`` and the stacked families against the member-by-member
+    route they replace, bit for bit."""
+
+    @pytest.mark.parametrize("degrees, perm", STACKED_TRINES)
+    def test_weights_and_rows_match_each_member(self, rand, degrees, perm):
+        trine = Trine.from_degrees(degrees).permuted(perm)
+        projectors = trine_projectors(trine)
+        states = [prepare_joint(trine).vec] + [random_state(rand, 36) for _ in range(4)]
+        for family in projectors.value + projectors.exits:
+            for stack in (family.stack, family.stack[0::2], family.stack[1::2]):
+                for state in states:
+                    weights, rows = qcore.projections(stack, state)
+                    want = np.array([qcore.projection_probability(p, state) for p in stack])
+                    assert weights.tobytes() == want.tobytes()
+                    assert rows.tobytes() == np.array([p @ state for p in stack]).tobytes()
+
+    @pytest.mark.parametrize("degrees, perm", STACKED_TRINES)
+    def test_family_members_match_the_single_builders(self, degrees, perm):
+        trine = Trine.from_degrees(degrees).permuted(perm)
+        projectors = trine_projectors(trine)
+        eye = np.eye(6, dtype=complex)
+        kron = {PARTICLE_A: lambda op: np.kron(op, eye), PARTICLE_B: lambda op: np.kron(eye, op)}
+        for particle in (PARTICLE_A, PARTICLE_B):
+            for v in SpinValue:
+                want = value_projectors(trine, particle)[v]
+                assert projectors.value[particle][v].tobytes() == want.tobytes()
+            for e, label in enumerate(exit_labels(trine)):
+                want = exit_projector(trine, particle, label)
+                assert projectors.exits[particle][e].tobytes() == want.tobytes()
+                vec = exit_vector(trine, label)
+                assert want.tobytes() == kron[particle](np.outer(vec, vec.conj())).tobytes()
+
+    def test_members_are_trusted_read_only_views_of_the_stack(self, trine, monkeypatch):
+        families = trine_projectors(trine).exits
+        full = []
+        real = qcore.within_atol
+        monkeypatch.setattr(qcore, "within_atol", lambda a, b: full.append(1) or real(a, b))
+        for family in families:
+            assert family.stack.shape == (6, 36, 36) and not family.stack.flags.writeable
+            for member in family:
+                assert np.shares_memory(member, family.stack)
+                assert not member.flags.writeable
+                assert qcore.is_projector(member) and not full
+                assert qcore.is_projector(member[:]) and full
+                full.clear()
 
 
 class TestWithinAtol:
