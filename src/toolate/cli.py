@@ -25,6 +25,7 @@ from .experiments import (
     run_toolate,
     run_verify,
 )
+from .qcore import ZeroProbability
 
 # subcommand -> (config protocol, help text)
 _COMMANDS = {
@@ -182,6 +183,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, KeyError) as exc:
         print(f"toolate: config error: {exc}", file=sys.stderr)
+        return 1
+    except ZeroProbability as exc:  # a needed projection has zero weight
+        print(f"toolate: zero probability: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"toolate: i/o error: {exc}", file=sys.stderr)

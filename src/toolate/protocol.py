@@ -160,25 +160,12 @@ def prepare_joint(trine: Trine) -> JointState:
     return JointState(vec, trine)
 
 
-def _lift(ops6: np.ndarray, particle: int) -> np.ndarray:
-    """6x6 operators on one particle, shape (..., 6, 6), as 36x36
-    operators on the pair: kron(op, I) for A and kron(I, op) for B, by
-    the same broadcast product ``np.kron`` makes.  It runs one operator
-    at a time, into one output: numpy gives each operand of a broadcast
-    product a buffer of up to 8192 elements, so one product over a
-    six-member family would hold three times its output."""
-    eye = np.eye(PARTICLE_DIM, dtype=complex)
+def _identities(particle: int) -> tuple[int, int]:
+    """The identity dimensions (left, right) that put one particle's 6x6
+    operators on the pair: kron(op, I) for A and kron(I, op) for B."""
     if particle not in (PARTICLE_A, PARTICLE_B):
         raise ValueError("particle must be 0 (A) or 1 (B)")
-    ops6 = np.asarray(ops6)
-    out = np.empty(ops6.shape[:-2] + (JOINT_DIM, JOINT_DIM), dtype=complex)
-    blocks = out.reshape((-1,) + (PARTICLE_DIM,) * 4)
-    for op, block in zip(ops6.reshape(-1, PARTICLE_DIM, PARTICLE_DIM), blocks):
-        if particle == PARTICLE_A:
-            np.multiply(op[:, None, :, None], eye[:, None, :], out=block)
-        else:
-            np.multiply(eye[:, None, :, None], op[None, :, None, :], out=block)
-    return out
+    return (1, PARTICLE_DIM) if particle == PARTICLE_A else (PARTICLE_DIM, 1)
 
 
 def _value_blocks(basis: np.ndarray) -> np.ndarray:
@@ -192,12 +179,12 @@ def value_projectors(trine: Trine, particle: int) -> tuple[np.ndarray, np.ndarra
     P_up sums |port(o)><port(o)| (x) |up(o)><up(o)| over the trine; the
     orientation stays superposed.  P_up + P_down is the identity.
     """
-    return tuple(_lift(_value_blocks(exit_basis(trine)), particle))
+    return tuple(qcore.kron_identity(_value_blocks(exit_basis(trine)), *_identities(particle)))
 
 
 def exit_projector(trine: Trine, particle: int, label: ExitLabel) -> np.ndarray:
     vec = exit_vector(trine, label)
-    return _lift(np.outer(vec, vec.conj()), particle)
+    return qcore.kron_identity(np.outer(vec, vec.conj())[None], *_identities(particle))[0]
 
 
 class TrineProjectors(NamedTuple):
@@ -215,16 +202,23 @@ class TrineProjectors(NamedTuple):
 
 
 def trine_projectors(trine: Trine) -> TrineProjectors:
-    """Build and check the four families of ``trine``, from one exit
-    basis: each family's 6x6 blocks are lifted to the pair at once."""
+    """Build the four families of ``trine`` from one exit basis.
+
+    The value family (P_up, P_down) and the six-member exit family are
+    checked once, as 6x6 ``qcore.ProjectorFamily``s on one particle,
+    and each is then embedded on the pair for particle A and for B.
+    The embedded families are not checked again: embedding by an
+    identity keeps every property the 6x6 check established (see
+    ``ProjectorFamily.embed``)."""
     basis = exit_basis(trine)
+    values = qcore.ProjectorFamily(_value_blocks(basis))
     # exit e's projector is the outer product of basis column e
-    exits = basis.T[:, :, None] * basis.T.conj()[:, None, :]
-    particles = (PARTICLE_A, PARTICLE_B)
+    exits = qcore.ProjectorFamily(basis.T[:, :, None] * basis.T.conj()[:, None, :])
+    sides = [_identities(p) for p in (PARTICLE_A, PARTICLE_B)]
     return TrineProjectors(
         trine,
-        tuple(qcore.ProjectorFamily(_lift(_value_blocks(basis), p)) for p in particles),
-        tuple(qcore.ProjectorFamily(_lift(exits, p)) for p in particles),
+        tuple(values.embed(*side) for side in sides),
+        tuple(exits.embed(*side) for side in sides),
     )
 
 
@@ -361,7 +355,10 @@ def stage_conditionals(projectors: TrineProjectors) -> StageConditionals:
     through ``qcore.project``.  Each orientation stage projects only onto
     the exits of the value drawn before it, ``stack[v::2]``, in one
     ``qcore.projections`` product, and A's exit collapses reuse its
-    projected rows."""
+    projected rows.  A value pair whose B value weighs at or below 1e-12
+    after A's collapse, where ``qcore.project`` raises ZeroProbability,
+    keeps weight 0 and all-zero orientation rows, as an orientation of
+    weight 0 does."""
     trine = projectors.trine
     start = prepare_joint(trine)
     proj_a, proj_b = projectors.value
@@ -376,7 +373,10 @@ def stage_conditionals(projectors: TrineProjectors) -> StageConditionals:
         prob_a, state_a = qcore.project(proj_a[va], start.vec)
         p_value_a[va] = prob_a
         for vb in SpinValue:
-            prob_b, state_b = qcore.project(proj_b[vb], state_a)
+            try:
+                prob_b, state_b = qcore.project(proj_b[vb], state_a)
+            except qcore.ZeroProbability:
+                continue  # an impossible value pair keeps zero rows
             p_value_b[va, vb] = prob_b
             # rank r of value va is exit 2*r + va
             probs_a, rows_a = qcore.projections(exits_a.stack[va::2], state_b)

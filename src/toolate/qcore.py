@@ -66,13 +66,13 @@ def within_atol(a, b) -> bool:
 
 
 def is_projector(op) -> bool:
-    """Whether ``op`` is Hermitian and idempotent.  A member of a
-    ``ProjectorFamily`` was checked when its family was built and is
-    trusted at once; any other array is checked in full."""
+    """Whether ``op`` is a square matrix that is Hermitian and idempotent.
+    A member of a ``ProjectorFamily`` was checked when its family was
+    built and is trusted at once; any other array is checked in full."""
     if isinstance(op, _Member) and op.checked and not op.flags.writeable:
         return True
     p = np.asarray(op, dtype=complex)
-    if p.shape[0] != p.shape[1]:
+    if p.ndim != 2 or p.shape[0] != p.shape[1]:
         return False
     return within_atol(p, dagger(p)) and within_atol(p @ p, p)
 
@@ -166,6 +166,8 @@ class ProjectorFamily(tuple):
     members stay what was checked: ``is_projector`` trusts them, and
     ``validate_partition`` checks only the dimension.  ``projections``
     takes ``stack``, or a slice of it, to weigh every member at once.
+    ``embed`` puts a checked family on a larger space without checking
+    it again.
     """
 
     stack: np.ndarray
@@ -173,7 +175,12 @@ class ProjectorFamily(tuple):
     def __new__(cls, partition):
         ops = list(partition)
         shape = np.shape(ops[0]) if ops else ()
-        stack = np.array(validate_partition(ops, shape[0] if shape else 0))
+        return cls._of_checked(np.array(validate_partition(ops, shape[0] if shape else 0)))
+
+    @classmethod
+    def _of_checked(cls, stack: np.ndarray) -> "ProjectorFamily":
+        # only for a stack that passed validate_partition, or is the
+        # embedding of one that did
         stack.flags.writeable = False
         members = []
         for op in stack:
@@ -187,6 +194,42 @@ class ProjectorFamily(tuple):
     @property
     def dim(self) -> int:
         return self[0].shape[0]
+
+    def embed(self, left: int, right: int) -> "ProjectorFamily":
+        """The family kron(I_left, P, I_right), P over the members, on
+        left * dim * right dimensions, built by ``kron_identity``.
+
+        It is not checked again, and need not be: every entry of
+        Q - Q^dagger, Q^2 - Q, sum(Q) - I and Q_i Q_j for the embedded
+        members Q is an entry of the same quantity for the members times
+        an identity entry, 0 or 1, so it is within ATOL exactly where
+        the checked family's is."""
+        return ProjectorFamily._of_checked(kron_identity(self.stack, left, right))
+
+
+def kron_identity(ops, left: int, right: int) -> np.ndarray:
+    """kron(I_left, op, I_right) for each operator of a (k, d, d) stack.
+
+    By the broadcast product ``np.kron`` makes, so the result is bitwise
+    ``np.kron(op, I_right)`` when ``left`` is 1, ``np.kron(I_left, op)``
+    when ``right`` is 1, and ``np.kron(I_left, np.kron(op, I_right))``
+    otherwise, signed zeros included.  It runs one operator at a time,
+    into one output: numpy gives each operand of a broadcast product a
+    buffer of up to 8192 elements, so one product over a six-member
+    family would hold three times its output."""
+    ops = np.asarray(ops, dtype=complex)
+    if left > 1 and right > 1:
+        return kron_identity(kron_identity(ops, 1, right), left, 1)
+    k, d, _ = ops.shape
+    m = left * right  # the dimension of the one identity
+    eye = np.eye(m, dtype=complex)
+    out = np.empty((k, d * m, d * m), dtype=complex)
+    for op, block in zip(ops, out):
+        if left == 1:
+            np.multiply(op[:, None, :, None], eye[:, None, :], out=block.reshape(d, m, d, m))
+        else:
+            np.multiply(eye[:, None, :, None], op[None, :, None, :], out=block.reshape(m, d, m, d))
+    return out
 
 
 def sample(state, partition, rng: TrialRng) -> tuple[int, np.ndarray]:

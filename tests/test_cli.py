@@ -145,6 +145,28 @@ def test_verify_gates_closed_forms_only_on_120_degree_trines(capsys, angles, bin
         assert set(reported) == CLOSED_FORMS_120 and not all(reported.values())
 
 
+def test_near_coincident_orientations_give_zero_equal_value_pairs(capsys):
+    assert main(["toolate", "--angles=0,0.000001,0.000002", "--trials", "1000"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    for pair in ("vA=up,vB=up", "vA=down,vB=down"):
+        # label, exact and estimate: both are exactly 0
+        assert any(line.startswith(f"P({pair}),0.0,0.0,") for line in lines)
+
+
+@pytest.mark.parametrize("angles", ["0,0.0001,0.0002", "0,0.000001,0.000002"])
+@pytest.mark.parametrize("command", ["erase", "verify"])
+def test_zero_probability_is_one_error_line(capsys, command, angles):
+    # the (up, up) conditional state, or the erasure, has zero weight
+    assert main([command, f"--angles={angles}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("toolate: zero probability: ")
+    assert "Traceback" not in captured.err
+
+
 def test_verify_failure_maps_to_exit_two(tmp_path, monkeypatch):
     import toolate.cli as cli_module
 

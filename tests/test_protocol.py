@@ -272,6 +272,16 @@ class TestStageConditionals:
             for rank in range(3):
                 assert tree.p_orient_b[v, v, rank, rank] == 0.0
 
+    @pytest.mark.parametrize("degrees", [(0, 0.000001, 0.000002), (90, 90.0000005, 90.000001)])
+    def test_impossible_value_pair_keeps_zero_rows(self, degrees):
+        # the equal-value pairs weigh about 1e-16 here, which qcore.project
+        # refuses to collapse onto
+        tree = stage_conditionals(trine_projectors(Trine.from_degrees(degrees)))
+        for v in range(2):
+            assert tree.p_value_b[v, v] == 0.0 and tree.p_value_b[v, 1 - v] == 1.0
+            assert not tree.p_orient_a[v, v].any() and not tree.p_orient_b[v, v].any()
+            assert abs(tree.p_orient_a[v, 1 - v].sum() - 1.0) < 1e-14
+
     def test_rows_renormalized(self, trine):
         tree = stage_conditionals(trine_projectors(trine))
         assert abs(tree.p_value_a.sum() - 1.0) < 1e-15

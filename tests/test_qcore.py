@@ -6,7 +6,7 @@ import scipy.stats
 
 from conftest import random_state
 from oracles import entropy_bits, jacobi_eigvalsh
-from toolate import qcore
+from toolate import protocol, qcore
 from toolate.audit import oracle_conditional_state
 from toolate.protocol import (
     JOINT_LAYOUT,
@@ -55,6 +55,16 @@ class TestProject:
         _, post = qcore.project(proj, random_state(rand, 2))
         prob2, _ = qcore.project(proj, post)
         assert abs(prob2 - 1.0) < 1e-12
+
+    @pytest.mark.parametrize(
+        "op",
+        [np.zeros(3), np.zeros((2, 2, 2)), np.zeros(()), np.zeros((2, 3)), np.zeros((0,))],
+        ids=["vector", "stack", "scalar", "non-square", "empty"],
+    )
+    def test_non_matrix_is_not_a_projector(self, op):
+        assert qcore.is_projector(op) is False
+        with pytest.raises(ValueError, match="not a projector"):
+            qcore.project(op, np.ones(3, dtype=complex) / math.sqrt(3))
 
     def test_non_projector_rejected(self):
         with pytest.raises(ValueError):
@@ -185,18 +195,70 @@ class TestProjectorFamily:
         real = qcore.is_projector
         monkeypatch.setattr(qcore, "is_projector", lambda op: checked.append(op) or real(op))
         projectors = trine_projectors(trine)
-        assert len(checked) == 2 * (2 + 6)  # value and exit families of both particles
+        # the value and exit families of one particle, on its 6x6 blocks;
+        # the four 36x36 families are embeddings of those two
+        assert len(checked) == 2 + 6
+        assert all(type(op) is np.ndarray and op.shape == (6, 6) for op in checked)
         members = [m for fams in (projectors.value, projectors.exits) for f in fams for m in f]
-        assert len(members) == len(checked)
-        assert all(type(op) is np.ndarray for op in checked)
+        assert len(members) == 2 * (2 + 6) and all(m.shape == (36, 36) for m in members)
 
+        checked.clear()
         full = []
         real_close = qcore.within_atol
         monkeypatch.setattr(qcore, "within_atol", lambda a, b: full.append(1) or real_close(a, b))
         stage_conditionals(projectors)
         composed_distribution(prepare_joint(trine), STAGE_ORDERS[0], projectors)
-        assert len(checked) > len(members)  # project still asks about every projector
+        assert checked  # project still asks about every projector
         assert not full  # and nothing is checked again
+
+    @pytest.mark.parametrize(
+        "break_basis",
+        [lambda b: 1.01 * b, lambda b: np.column_stack([(b[:, 0] + b[:, 1]) / np.sqrt(2), b[:, 1:]])],
+        ids=["scaled", "non-orthogonal"],
+    )
+    def test_trine_families_with_a_bad_basis_fail_before_any_embedding(
+        self, trine, monkeypatch, break_basis
+    ):
+        real_basis = protocol.exit_basis
+        monkeypatch.setattr(protocol, "exit_basis", lambda t: break_basis(real_basis(t)))
+        embedded = []
+        real_kron = qcore.kron_identity
+        monkeypatch.setattr(
+            qcore, "kron_identity", lambda *args: embedded.append(1) or real_kron(*args)
+        )
+        with pytest.raises(qcore.InvalidPartition):
+            trine_projectors(trine)
+        assert not embedded
+
+    @pytest.mark.parametrize("left, right", [(1, 6), (6, 1), (2, 3)])
+    def test_embed_is_the_kron_with_identities_and_checks_nothing(
+        self, rand, left, right, monkeypatch
+    ):
+        basis, _ = np.linalg.qr(rand.normal(size=(3, 3)) + 1j * rand.normal(size=(3, 3)))
+        family = qcore.ProjectorFamily([np.outer(b, b.conj()) for b in basis.T])
+        full = []
+        real = qcore.within_atol
+        monkeypatch.setattr(qcore, "within_atol", lambda a, b: full.append(1) or real(a, b))
+        embedded = family.embed(left, right)
+        assert not full
+        assert embedded.dim == 3 * left * right and len(embedded) == 3
+        assert not embedded.stack.flags.writeable
+        eye_left, eye_right = np.eye(left, dtype=complex), np.eye(right, dtype=complex)
+        for member, op in zip(embedded, family):
+            op = np.asarray(op)
+            if left == 1:
+                want = np.kron(op, eye_right)
+            elif right == 1:
+                want = np.kron(eye_left, op)
+            else:
+                want = np.kron(eye_left, np.kron(op, eye_right))
+            assert member.tobytes() == want.tobytes()
+            assert np.signbit(want.real[want.real == 0]).any()  # so the signs are compared
+            assert np.shares_memory(member, embedded.stack)
+            assert qcore.is_projector(member) and not full
+        # a plain-array copy passes the full check it was spared
+        qcore.validate_partition([np.array(m) for m in embedded], embedded.dim)
+        assert full
 
 
 # trines with their port bindings: the default, an uneven one, one whose
@@ -225,6 +287,15 @@ class TestProjections:
                     want = np.array([qcore.projection_probability(p, state) for p in stack])
                     assert weights.tobytes() == want.tobytes()
                     assert rows.tobytes() == np.array([p @ state for p in stack]).tobytes()
+
+    @pytest.mark.parametrize("degrees, perm", STACKED_TRINES)
+    def test_embedded_families_pass_the_full_check(self, degrees, perm):
+        projectors = trine_projectors(Trine.from_degrees(degrees).permuted(perm))
+        for family in projectors.value + projectors.exits:
+            copies = [np.array(member) for member in family]
+            assert all(type(c) is np.ndarray for c in copies)  # not trusted, so checked
+            ops = qcore.validate_partition(copies, 36)
+            assert [op.tobytes() for op in ops] == [c.tobytes() for c in copies]
 
     @pytest.mark.parametrize("degrees, perm", STACKED_TRINES)
     def test_family_members_match_the_single_builders(self, degrees, perm):
