@@ -62,18 +62,17 @@ def _number_list(kind):
 
 
 def build_parser(command: str | None = None) -> _Parser:
-    """The CLI parser.  Every subcommand is listed, but when ``command``
-    names one only that subcommand gets its arguments, since parsing
-    reaches no other; with no command, or an unknown one, every
-    subcommand gets them.  Help, usage and errors are the same either
-    way."""
+    """The CLI parser.  Every subcommand is listed, but only the one
+    that ``command`` names gets its arguments, since parsing reaches no
+    other; with no command, or an unknown one, parsing reaches none.
+    Help, usage and errors are the same either way."""
     # flag destinations are the config-file keys, so set flags and the
     # file merge into one dict for ExperimentConfig.from_dict
     parser = _Parser(prog="toolate", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", metavar="command")
     for name, (_, desc) in _COMMANDS.items():
         p = sub.add_parser(name, help=desc, description=desc)
-        if command in _COMMANDS and name != command:
+        if name != command:
             continue
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument(

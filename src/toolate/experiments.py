@@ -274,23 +274,24 @@ def sample_protocol(trine: Trine, trials: int, master_seed: int) -> np.ndarray:
     Stage conditionals are projected out of the prepared state once;
     each trial then consumes one uniform per stage in recorded order,
     which reproduces sequential collapse draw for draw (tested against
-    the explicit slow path).  The chunks ``run_toolate`` tabulates,
-    gathered into one (trials, 4) array, with each rank turned into the
-    exit index of ``exit_labels``: 2*rank + value.
+    the explicit slow path).  The cells ``run_toolate`` tabulates,
+    gathered and decoded into one (trials, 4) array, with each rank
+    turned into the exit index of ``exit_labels``: 2*rank + value.
     """
     chunks = _outcome_chunks(stage_conditionals(trine_projectors(trine)), trials, master_seed)
-    blocks = [np.vstack([va, vb, 2 * ra + va, 2 * rb + vb]) for _, _, (va, vb, ra, rb) in chunks]
-    return np.concatenate([np.empty((4, 0), dtype=np.int64), *blocks], axis=1).T
+    cells = np.concatenate([np.empty(0, dtype=np.intp), *(cell for _, _, cell in chunks)])
+    va, vb, ra, rb = np.unravel_index(cells, (2, 2, 3, 3))
+    return np.column_stack([va, vb, 2 * ra + va, 2 * rb + vb])
 
 
 def run_toolate(config: ExperimentConfig, records: BinaryIO | None = None) -> EstimateTable:
     """Value-first protocol: exact stage statistics plus Monte Carlo.
 
-    A trial enters the table, and the records, only through its cell:
-    the flat (2, 2, 3, 3) index of [value_A, value_B, rank_A, rank_B].
-    Each chunk is tabulated and, when a binary ``records`` stream is
-    given, written to it while in hand as ASCII JSON lines: the
-    metadata line first, then ``records_text`` of each chunk.
+    A trial enters the table, and the records, only through the cell
+    that the sampler builds: the flat (2, 2, 3, 3) index of [value_A,
+    value_B, rank_A, rank_B].  Each chunk's cells are counted and, when
+    a binary ``records`` stream is given, written to it while in hand as
+    ASCII JSON lines: the metadata line first, then ``records_text``.
     """
     if config.protocol != "toolate":
         raise ValueError("run_toolate needs protocol toolate")
@@ -305,15 +306,7 @@ def run_toolate(config: ExperimentConfig, records: BinaryIO | None = None) -> Es
         records.write(meta.encode() + b"\n")
         tails = record_tails(trine)
     counts = np.zeros(36, dtype=np.int64)
-    cells = np.empty(min(n, _kernels.CHUNK), dtype=np.int64)
-    for start, seeds, (va, vb, ra, rb) in _outcome_chunks(tree, n, config.master_seed):
-        cell = cells[: len(seeds)]
-        np.multiply(va, 2, out=cell)
-        cell += vb
-        cell *= 3
-        cell += ra
-        cell *= 3
-        cell += rb
+    for start, seeds, cell in _outcome_chunks(tree, n, config.master_seed):
         counts += np.bincount(cell, minlength=36)
         if records is not None:
             records.write(records_text(tails, start, seeds, cell))

@@ -355,10 +355,10 @@ def stage_conditionals(projectors: TrineProjectors) -> StageConditionals:
     through ``qcore.project``.  Each orientation stage projects only onto
     the exits of the value drawn before it, ``stack[v::2]``, in one
     ``qcore.projections`` product, and A's exit collapses reuse its
-    projected rows.  A value pair whose B value weighs at or below 1e-12
-    after A's collapse, where ``qcore.project`` raises ZeroProbability,
-    keeps weight 0 and all-zero orientation rows, as an orientation of
-    weight 0 does."""
+    projected rows.  A value pair whose joint weight is at or below
+    1e-12 keeps weight 0 and all-zero orientation rows, as an
+    orientation of weight 0 does; that includes a B value that
+    ``qcore.project`` refuses to collapse onto after A's collapse."""
     trine = projectors.trine
     start = prepare_joint(trine)
     proj_a, proj_b = projectors.value
@@ -377,6 +377,8 @@ def stage_conditionals(projectors: TrineProjectors) -> StageConditionals:
                 prob_b, state_b = qcore.project(proj_b[vb], state_a)
             except qcore.ZeroProbability:
                 continue  # an impossible value pair keeps zero rows
+            if prob_a * prob_b <= qcore.ZERO_PROB:
+                continue  # so does one whose joint weight is rounding dust
             p_value_b[va, vb] = prob_b
             # rank r of value va is exit 2*r + va
             probs_a, rows_a = qcore.projections(exits_a.stack[va::2], state_b)

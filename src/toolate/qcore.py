@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _kernels
 from .rng import TrialRng
 
 ATOL = 1e-10
@@ -238,10 +239,11 @@ def sample(state, partition, rng: TrialRng) -> tuple[int, np.ndarray]:
     One uniform is consumed per call: outcome = first index whose
     cumulative Born weight exceeds the draw.  Weights at or below 1e-12
     are snapped to zero first, and every cumulative entry from the last
-    positive weight onward is pinned to 1, so analytically impossible
-    outcomes are never produced.  Weights and collapsed states come
-    from one ``projections`` product over the family's stack; the drawn
-    row is divided by the square root of its weight, not projected again.
+    positive weight onward is pinned to 1 by ``_kernels.cumulative``, as
+    in the batch sampler, so analytically impossible outcomes are never
+    produced.  Weights and collapsed states come from one
+    ``projections`` product over the family's stack; the drawn row is
+    divided by the square root of its weight, not projected again.
     """
     arr = require_normalized(state)
     ops = validate_partition(partition, arr.size)
@@ -251,8 +253,7 @@ def sample(state, partition, rng: TrialRng) -> tuple[int, np.ndarray]:
     total = probs.sum()
     if abs(total - 1.0) > ATOL:
         raise InvalidPartition(f"probabilities sum to {total}, expected 1")
-    cum = np.cumsum(probs / total)
-    cum[np.flatnonzero(probs)[-1]:] = 1.0
+    cum = _kernels.cumulative(probs / total)
     u = rng.uniform()
     index = int(np.searchsorted(cum, u, side="right"))
     post = rows[index] / np.sqrt(probs[index])

@@ -101,7 +101,12 @@ def test_protocol_outcomes_match_gather_reference(angles, binding, seed):
     cums = [_kernels.cumulative(p)
             for p in (tree.p_value_a, tree.p_value_b, tree.p_orient_a, tree.p_orient_b)]
     got = sample_protocol(trine, SWEEP_TRIALS, seed)
-    assert np.array_equal(got, protocol_outcomes_reference(*cums, seed, SWEEP_TRIALS))
+    want = protocol_outcomes_reference(*cums, seed, SWEEP_TRIALS)
+    assert np.array_equal(got, want)
+    # the kernel's own output: each trial's cell [vA, vB, rA, rB]
+    cells = np.concatenate([c for _, _, c in _kernels.protocol_chunks(cums, seed, SWEEP_TRIALS)])
+    va, vb, ea, eb = want.T
+    assert np.array_equal(cells, np.ravel_multi_index((va, vb, ea // 2, eb // 2), (2, 2, 3, 3)))
     # an exit carries the value sampled before it
     assert np.array_equal(got[:, 2] % 2, got[:, 0]) and np.array_equal(got[:, 3] % 2, got[:, 1])
 
@@ -138,11 +143,12 @@ def test_pick_at_threshold_edges():
     u = u[(u >= 0.0) & (u < 1.0)]
     columns = _kernels._columns(cum)
     want = [[next(j for j, c in enumerate(row) if c > x) for x in u] for row in cum]
+    stream = _kernels._Stream(len(cum) * len(u))
     for r in range(len(cum)):
-        assert _kernels._pick(columns, r, u).tolist() == want[r]
+        assert stream.pick(columns, r, u).tolist() == want[r]
         assert np.all(probs[r, want[r]] > 0.0)  # no zero-width interval is picked
     rows = np.repeat(np.arange(len(cum)), len(u))
-    per_trial = _kernels._pick(columns, rows, np.tile(u, len(cum)))
+    per_trial = stream.pick(columns, rows, np.tile(u, len(cum)))
     assert per_trial.tolist() == sum(want, [])
 
 

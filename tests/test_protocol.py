@@ -272,10 +272,13 @@ class TestStageConditionals:
             for rank in range(3):
                 assert tree.p_orient_b[v, v, rank, rank] == 0.0
 
-    @pytest.mark.parametrize("degrees", [(0, 0.000001, 0.000002), (90, 90.0000005, 90.000001)])
+    @pytest.mark.parametrize(
+        "degrees", [(0, 0.000001, 0.000002), (90, 90.0000005, 90.000001), (0, 0.0001, 0.0002)]
+    )
     def test_impossible_value_pair_keeps_zero_rows(self, degrees):
-        # the equal-value pairs weigh about 1e-16 here, which qcore.project
-        # refuses to collapse onto
+        # the equal-value pairs weigh about 1e-16 in the first two, which
+        # qcore.project refuses to collapse onto; in the third, B's value
+        # weighs 1.02e-12 after A's collapse, but the pair weighs 5.1e-13
         tree = stage_conditionals(trine_projectors(Trine.from_degrees(degrees)))
         for v in range(2):
             assert tree.p_value_b[v, v] == 0.0 and tree.p_value_b[v, 1 - v] == 1.0
