@@ -4,25 +4,25 @@ The trial loops are the only hot code in the package.  They implement
 the exact counter-based stream of ``rng`` on uint64: trial i's k-th
 uniform is a pure function of (master seed, i, k), so the outcome
 arrays are bit-identical to the scalar ``rng`` route and independent of
-how the trials are batched.  The kernels draw ``CHUNK`` trials at a
-time, so their temporaries stay O(CHUNK) however many trials are asked
-for; ``protocol_chunks`` hands each chunk to its caller instead of
-collecting the outcomes of every trial.
+how the trials are batched.  One walk, ``_Stream.walk``, draws
+``CHUNK`` trials at a time for both samplers, so their temporaries stay
+O(CHUNK) however many trials are asked for.  It hands each chunk to its
+caller, and the next chunk overwrites the seeds and cells it handed.
 
 The stream is mixed in place: a run allocates the buffers of its
-seeds, uniforms and picks once, at most ``CHUNK`` long, and every
-shift, xor and multiply of a draw writes into them.  A pick reads a
-cumulative table column by column: column j is one contiguous 1-D array
-over the table's rows, a trial's row is a flat index into it, and the
-pick counts the columns whose entry at that row is at or below the
-trial's uniform.
-That is the same count of the same float compares as comparing the
-whole row at once, so no pick depends on how the table is laid out.
+seeds, uniforms, picks and cells once, at most ``CHUNK`` long, and
+every shift, xor and multiply of a draw writes into them.  A pick reads
+a cumulative table column by column: column j is one contiguous 1-D
+array over the table's rows, a trial's row is a flat index into it, and
+the pick counts the columns whose entry at that row is at or below the
+trial's uniform.  That is the same count of the same float compares as
+comparing the whole row at once, so no pick depends on the layout.
 
-A value-first trial is a path through four nested stages, value_A,
-value_B, rank_A, rank_B; its cell is that path's flat index, and each
-stage's row is the cell so far.  A rank selected by the drawn values
-gives the exit 2*rank + value, which carries the value drawn.
+A trial is a path through nested stages, value_A, value_B, rank_A,
+rank_B for the value-first protocol and one stage for a categorical
+row; its cell is that path's flat index, and each stage's row is the
+cell so far.  A rank selected by the drawn values gives the exit
+2*rank + value, which carries the value drawn.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ _INV53 = 1.0 / 9007199254740992.0
 
 # trials per batch: sampling and record writing work through this many at once
 CHUNK = 1 << 16
+# (start, seeds, cells) of each chunk of trials
+Chunks = Iterator[tuple[int, np.ndarray, np.ndarray]]
 
 
 def cumulative(probs: np.ndarray) -> np.ndarray:
@@ -53,6 +55,10 @@ def cumulative(probs: np.ndarray) -> np.ndarray:
     """
     probs = np.asarray(probs, dtype=np.float64)
     cum = np.cumsum(probs, axis=-1)
+    if probs.ndim == 1:  # one row, as qcore.sample asks for: the same pins, in half the time
+        last = np.flatnonzero(probs > 0.0)
+        cum[last[-1] if last.size else 0 :] = 1.0
+        return cum
     positives = np.cumsum(probs > 0.0, axis=-1)
     cum[positives == positives[..., -1:]] = 1.0
     return cum
@@ -72,9 +78,8 @@ def _mix(z: np.ndarray, tmp: np.ndarray) -> None:
 
 
 def trial_seeds(master: int, trials: int, start: int, stream: _Stream) -> np.ndarray:
-    """uint64 seeds of trials start .. start + trials - 1, identical to
-    rng.trial_seed.  They are written into the seed buffer of
-    ``stream``, which the next call overwrites."""
+    """uint64 seeds of trials start .. start + trials - 1, as rng.trial_seed,
+    in the seed buffer of ``stream``, which the next call overwrites."""
     seeds = stream.seeds[:trials]
     np.add(stream.steps[:trials], U64((start * GOLDEN + int(master)) & _MASK64), out=seeds)
     _mix(seeds, stream.tmp[:trials])
@@ -82,9 +87,8 @@ def trial_seeds(master: int, trials: int, start: int, stream: _Stream) -> np.nda
 
 
 class _Stream:
-    """Scratch buffers for the seeds, uniforms and picks of up to
-    ``size`` trials.  Every chunk of a kernel call reuses them, so no
-    chunk allocates its own."""
+    """Scratch buffers for the seeds, uniforms, picks and cells of up to
+    ``size`` trials, which every chunk of a kernel call reuses."""
 
     def __init__(self, size: int):
         # trial start + k enters the mix as master + (start + k + 1) * GOLDEN:
@@ -95,6 +99,16 @@ class _Stream:
         self.tmp = np.empty(size, dtype=np.uint64)
         self.u = np.empty(size, dtype=np.float64)
         self.picks = np.empty(size, dtype=np.intp)
+        self.cells = np.empty(size, dtype=np.intp)
+
+    def walk(self, tables: list, master: int, trials: int) -> Chunks:
+        """Yield ``(start, seeds, cells)`` for each run of ``CHUNK``
+        trials of master seed ``master``: the first trial's index, the
+        trials' seeds and their ``protocol_outcomes`` over ``tables``,
+        both in buffers that the next chunk overwrites."""
+        for start in range(0, trials, CHUNK):
+            seeds = trial_seeds(master, min(CHUNK, trials - start), start, self)
+            yield start, seeds, protocol_outcomes(tables, seeds, self)
 
     def uniform(self, seeds: np.ndarray, draw: int) -> np.ndarray:
         """Uniform ``draw`` of each seed's stream, in a buffer that the
@@ -111,11 +125,10 @@ class _Stream:
 
     def pick(self, columns: list[np.ndarray], row, u: np.ndarray) -> np.ndarray:
         """Per trial, how many entries of cumulative row ``row`` (a flat
-        row index, shared or one per trial) are at or below ``u``, in a
-        buffer that the next call overwrites.  ``columns`` comes from
-        ``_columns``; the pinned last entry never counts, because u < 1.
-        On a nondecreasing row this is the first index whose entry is
-        above u."""
+        row index, shared or one per trial) of ``_columns`` are at or
+        below ``u``, in a buffer that the next call overwrites: the
+        first index whose entry is above u, as the pinned last entry
+        never counts."""
         pick = self.picks[: len(u)]
         pick[:] = 0
         for column in columns:
@@ -126,8 +139,7 @@ class _Stream:
 def _columns(cum: np.ndarray) -> list[np.ndarray]:
     """The columns of a cumulative table with its rows flattened, each
     one contiguous array; the pinned last column is left out."""
-    cum = np.asarray(cum, dtype=np.float64)
-    flat = cum.reshape(-1, cum.shape[-1])
+    flat = np.asarray(cum, dtype=np.float64).reshape(-1, np.shape(cum)[-1])
     return [np.ascontiguousarray(flat[:, j]) for j in range(flat.shape[1] - 1)]
 
 
@@ -135,56 +147,42 @@ def _columns(cum: np.ndarray) -> list[np.ndarray]:
 
 
 def categorical_counts(cum_rows: np.ndarray, master_seed: int, trials: int) -> np.ndarray:
-    """Outcome counts for independent categorical rows.
-
-    Row r, trial i draws one uniform from the stream seeded by
-    mix64(mix64(master, r), i) and selects the first cumulative entry
-    above it.  Returns int64 counts of shape ``cum_rows.shape``.
-    """
+    """int64 outcome counts, of shape ``cum_rows.shape``, of independent
+    categorical rows.  Row r is a one-stage walk of master mix64(master,
+    r): its trial i picks the first cumulative entry above uniform 0 of
+    the stream seeded by mix64(mix64(master, r), i)."""
     cum = np.ascontiguousarray(cum_rows, dtype=np.float64)
     if cum.ndim != 2:
         raise ValueError("cum_rows must be 2-D")
-    master_seed = int(master_seed) & _MASK64
-    columns = _columns(cum)
     stream = _Stream(min(CHUNK, trials))
     counts = np.zeros(cum.shape, dtype=np.int64)
-    for r in range(cum.shape[0]):
-        row_seed = mix64(master_seed, r)
-        for start in range(0, trials, CHUNK):
-            seeds = trial_seeds(row_seed, min(CHUNK, trials - start), start, stream)
-            chosen = stream.pick(columns, r, stream.uniform(seeds, 0))
-            counts[r] += np.bincount(chosen, minlength=cum.shape[1])
+    for r, row in enumerate(cum):
+        for _, _, cells in stream.walk([_columns(row)], mix64(int(master_seed), r), trials):
+            counts[r] += np.bincount(cells, minlength=cum.shape[1])
     return counts
 
 
-def protocol_chunks(
-    cums: list[np.ndarray], master_seed: int, trials: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield ``(start, seeds, cells)`` for each run of ``CHUNK``
-    value-first trials: the first trial's index, the trials' uint64
-    seeds mix64(master, i), in a buffer that the next chunk overwrites,
-    and their ``protocol_outcomes``, a new array per chunk.  ``cums``
-    are the four stages' cumulative tables.
-    """
-    tables = [_columns(c) for c in cums]
-    stream = _Stream(min(CHUNK, trials))
-    for start in range(0, trials, CHUNK):
-        seeds = trial_seeds(int(master_seed), min(CHUNK, trials - start), start, stream)
-        yield start, seeds, protocol_outcomes(tables, seeds, stream)
+def protocol_chunks(cums: list[np.ndarray], master_seed: int, trials: int) -> Chunks:
+    """``_Stream.walk`` of value-first trials over the four stages'
+    cumulative tables ``cums``, with seeds mix64(master, i).  The next
+    chunk overwrites the seeds and the cells, so a caller that keeps a
+    chunk copies it."""
+    return _Stream(min(CHUNK, trials)).walk([_columns(c) for c in cums], int(master_seed), trials)
 
 
 def protocol_outcomes(tables: list, seeds: np.ndarray, stream: _Stream) -> np.ndarray:
-    """The cell of each trial with these seeds: the flat index of
-    [value_A, value_B, rank_A, rank_B] in a (2, 2, 3, 3) array.  A rank
-    is an orientation's place in ascending order.  ``tables`` holds the
-    four stages' ``_columns``; each stage's table is indexed by the
-    stages before it, so its row is the cell so far.  A trial consumes
-    uniforms 0..3 of its stream, one per stage in recorded order.
-    """
+    """The cell of each trial with these seeds, such as the flat index
+    of [value_A, value_B, rank_A, rank_B] in a (2, 2, 3, 3) array, in a
+    buffer that the next call overwrites.  A rank is an orientation's
+    place in ascending order.  ``tables`` holds each stage's
+    ``_columns``: the first stage's has one row, and a trial consumes
+    uniform k of its stream at stage k."""
+    cell = stream.cells[: len(seeds)]
+    first, *rest = tables
+    cell[:] = stream.pick(first, 0, stream.uniform(seeds, 0))
     # in place: a new array per stage, as in cell * width + pick, made a
     # 1e6-trial run take about five times the page faults and 40% longer
-    cell = np.zeros(len(seeds), dtype=np.intp)
-    for draw, columns in enumerate(tables):
+    for draw, columns in enumerate(rest, 1):
         pick = stream.pick(columns, cell, stream.uniform(seeds, draw))
         cell *= len(columns) + 1
         cell += pick

@@ -274,12 +274,12 @@ def sample_protocol(trine: Trine, trials: int, master_seed: int) -> np.ndarray:
     Stage conditionals are projected out of the prepared state once;
     each trial then consumes one uniform per stage in recorded order,
     which reproduces sequential collapse draw for draw (tested against
-    the explicit slow path).  The cells ``run_toolate`` tabulates,
-    gathered and decoded into one (trials, 4) array, with each rank
-    turned into the exit index of ``exit_labels``: 2*rank + value.
+    the explicit slow path).  The cells ``run_toolate`` tabulates, each
+    chunk copied and all decoded into one (trials, 4) array, with each
+    rank turned into the exit index of ``exit_labels``: 2*rank + value.
     """
     chunks = _outcome_chunks(stage_conditionals(trine_projectors(trine)), trials, master_seed)
-    cells = np.concatenate([np.empty(0, dtype=np.intp), *(cell for _, _, cell in chunks)])
+    cells = np.concatenate([np.empty(0, dtype=np.intp), *(cell.copy() for _, _, cell in chunks)])
     va, vb, ra, rb = np.unravel_index(cells, (2, 2, 3, 3))
     return np.column_stack([va, vb, 2 * ra + va, 2 * rb + vb])
 

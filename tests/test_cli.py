@@ -340,6 +340,8 @@ PINNED = {
     "toolate run.records.jsonl": "511b84d48733c10495709cdb0b3128ee1ae4c6c3868c95e1f0f8982797e67b32",
     "toolate stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "epr stdout": "6b08f55d1ac769deebb095a5c7a34c3c9478615088aa0098dad519919387bdcc",
+    # three chunks per row, the last of one trial
+    "epr 131073 stdout": "077af29313565b730f4c9556586126d063e9863fd8eeb84f77128d5f1577974e",
     "verify stdout": "ee5895db8b262568e39ce856ce621ad52fad7d7e020885db37f8f1f8d4ceacb8",
     "lhv stdout": "eb30cc04f471aa28b7c6cfe80ed24865a22c891e6b16c3d1f7aa78b8aead96d1",
     "interfere stdout": "a7b0f6f46162731edb7e874079ae22d244fb767901d5a2e60f3ec1e73266b856",
@@ -386,6 +388,8 @@ def test_artifacts_match_pinned_hashes(tmp_path, monkeypatch, capsys):
         got[f"{argv[0]} stdout"] = sha(capsys.readouterr().out.encode("utf-8"))
     for name in ("run.csv", "run.records.jsonl"):
         got[f"toolate {name}"] = sha((tmp_path / name).read_bytes())
+    assert main(["epr", "--trials", "131073", "--seed", "42"]) == 0
+    got["epr 131073 stdout"] = sha(capsys.readouterr().out.encode("utf-8"))
     for prefix, argv in (
         ("toolate 131073", ["toolate", "--trials", "131073", "--seed", "42", "--out", "run.csv"]),
         ("bound toolate", ["toolate", "--trials", "20000", "--seed", "42", "--out", "run.csv"] + BOUND),

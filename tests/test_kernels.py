@@ -27,6 +27,20 @@ def test_cumulative_pins_last_entry():
     assert cum[0, -1] == 1.0
 
 
+def test_cumulative_one_row_path_matches_the_table_rule():
+    """A 1-D row, as ``qcore.sample`` passes, takes its own path; its
+    pins must equal those of the same row in a table, bit for bit."""
+    rng = np.random.default_rng(1606)
+    rows = [np.zeros(4), np.zeros(1), np.array([0.0, 0.5, 0.5000000000000002, 0.0])]
+    for _ in range(2000):
+        row = rng.random(rng.integers(1, 9))
+        row[rng.random(row.size) < 0.4] = 0.0
+        rows.append(row / row.sum() if row.any() else row)
+    for row in rows:
+        one, table = _kernels.cumulative(row), _kernels.cumulative(row[None, :])[0]
+        assert one.tobytes() == table.tobytes(), row
+
+
 def test_kernel_matches_explicit_collapse_path(trine):
     """The batch sampler and the full state-collapse path consume the
     same stream and must produce identical outcomes trial by trial."""
@@ -57,8 +71,10 @@ def test_chunked_sampler_matches_collapse_path_at_chunk_boundaries(trine):
             assert batch[i].tolist() == want, (n, i)
 
 
-def test_chunked_categorical_counts_match_scalar_draws():
-    n = _kernels.CHUNK + 3
+@pytest.mark.parametrize(
+    "n", [0, 1, _kernels.CHUNK - 1, _kernels.CHUNK, _kernels.CHUNK + 1, 2 * _kernels.CHUNK + 3]
+)
+def test_chunked_categorical_counts_match_scalar_draws(n):
     cum = _kernels.cumulative(np.array([[0.1, 0.2, 0.3, 0.4], [0.5, 0.0, 0.25, 0.25]]))
     counts = _kernels.categorical_counts(cum, 17, n)
     for r in range(2):
@@ -104,7 +120,8 @@ def test_protocol_outcomes_match_gather_reference(angles, binding, seed):
     want = protocol_outcomes_reference(*cums, seed, SWEEP_TRIALS)
     assert np.array_equal(got, want)
     # the kernel's own output: each trial's cell [vA, vB, rA, rB]
-    cells = np.concatenate([c for _, _, c in _kernels.protocol_chunks(cums, seed, SWEEP_TRIALS)])
+    chunks = _kernels.protocol_chunks(cums, seed, SWEEP_TRIALS)
+    cells = np.concatenate([c.copy() for _, _, c in chunks])
     va, vb, ea, eb = want.T
     assert np.array_equal(cells, np.ravel_multi_index((va, vb, ea // 2, eb // 2), (2, 2, 3, 3)))
     # an exit carries the value sampled before it
