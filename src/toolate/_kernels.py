@@ -55,10 +55,6 @@ def cumulative(probs: np.ndarray) -> np.ndarray:
     """
     probs = np.asarray(probs, dtype=np.float64)
     cum = np.cumsum(probs, axis=-1)
-    if probs.ndim == 1:  # one row, as qcore.sample asks for: the same pins, in half the time
-        last = np.flatnonzero(probs > 0.0)
-        cum[last[-1] if last.size else 0 :] = 1.0
-        return cum
     positives = np.cumsum(probs > 0.0, axis=-1)
     cum[positives == positives[..., -1:]] = 1.0
     return cum

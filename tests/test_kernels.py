@@ -27,20 +27,6 @@ def test_cumulative_pins_last_entry():
     assert cum[0, -1] == 1.0
 
 
-def test_cumulative_one_row_path_matches_the_table_rule():
-    """A 1-D row, as ``qcore.sample`` passes, takes its own path; its
-    pins must equal those of the same row in a table, bit for bit."""
-    rng = np.random.default_rng(1606)
-    rows = [np.zeros(4), np.zeros(1), np.array([0.0, 0.5, 0.5000000000000002, 0.0])]
-    for _ in range(2000):
-        row = rng.random(rng.integers(1, 9))
-        row[rng.random(row.size) < 0.4] = 0.0
-        rows.append(row / row.sum() if row.any() else row)
-    for row in rows:
-        one, table = _kernels.cumulative(row), _kernels.cumulative(row[None, :])[0]
-        assert one.tobytes() == table.tobytes(), row
-
-
 def test_kernel_matches_explicit_collapse_path(trine):
     """The batch sampler and the full state-collapse path consume the
     same stream and must produce identical outcomes trial by trial."""
