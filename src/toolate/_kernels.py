@@ -5,9 +5,9 @@ the exact counter-based stream of ``rng`` on uint64: trial i's k-th
 uniform is a pure function of (master seed, i, k), so the outcome
 arrays are bit-identical to the scalar ``rng`` route and independent of
 how the trials are batched.  One walk, ``_Stream.walk``, draws
-``CHUNK`` trials at a time for both samplers, so their temporaries stay
-O(CHUNK) however many trials are asked for.  It hands each chunk to its
-caller, and the next chunk overwrites the seeds and cells it handed.
+``CHUNK`` trials at a time for both samplers and overwrites the seeds
+and cells it handed with the next chunk's, so the working set is one
+chunk's, about 1 MB at 2**14, however many trials are asked for.
 
 The stream is mixed in place: a run allocates the buffers of its
 seeds, uniforms, picks and cells once, at most ``CHUNK`` long, and
@@ -40,8 +40,8 @@ _M1 = U64(0xBF58476D1CE4E5B9)
 _M2 = U64(0x94D049BB133111EB)
 _INV53 = 1.0 / 9007199254740992.0
 
-# trials per batch: sampling and record writing work through this many at once
-CHUNK = 1 << 16
+# trials per batch: each stream buffer is 128 KB and fits in L2; a chunk's records are 1.8 MB
+CHUNK = 1 << 14
 # (start, seeds, cells) of each chunk of trials
 Chunks = Iterator[tuple[int, np.ndarray, np.ndarray]]
 
@@ -83,8 +83,8 @@ def trial_seeds(master: int, trials: int, start: int, stream: _Stream) -> np.nda
 
 
 class _Stream:
-    """Scratch buffers for the seeds, uniforms, picks and cells of up to
-    ``size`` trials, which every chunk of a kernel call reuses."""
+    """Scratch that every chunk of a kernel call reuses: the 8-byte seeds,
+    uniforms, picks and cells of up to ``size`` trials, 128 KB at CHUNK."""
 
     def __init__(self, size: int):
         # trial start + k enters the mix as master + (start + k + 1) * GOLDEN:

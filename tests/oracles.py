@@ -176,6 +176,8 @@ def records_text_reference(orientations, outcomes, meta) -> str:
 
 _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
+# batches independently of _kernels.CHUNK on purpose: the reference must
+# not share the batch size of the code it checks
 _CHUNK = 1 << 16
 
 

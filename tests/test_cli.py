@@ -13,6 +13,7 @@ import pytest
 
 from oracles import records_text_reference
 import toolate
+from toolate import _kernels
 from toolate._kernels import CHUNK
 from toolate.cli import main, records_path
 from toolate.experiments import ExperimentConfig, metadata, sample_protocol
@@ -340,12 +341,12 @@ PINNED = {
     "toolate run.records.jsonl": "511b84d48733c10495709cdb0b3128ee1ae4c6c3868c95e1f0f8982797e67b32",
     "toolate stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "epr stdout": "6b08f55d1ac769deebb095a5c7a34c3c9478615088aa0098dad519919387bdcc",
-    # three chunks per row, the last of one trial
+    # 131073 = 8 * 16384 + 1 trials: nine chunks per row, the last of one trial
     "epr 131073 stdout": "077af29313565b730f4c9556586126d063e9863fd8eeb84f77128d5f1577974e",
     "verify stdout": "ee5895db8b262568e39ce856ce621ad52fad7d7e020885db37f8f1f8d4ceacb8",
     "lhv stdout": "eb30cc04f471aa28b7c6cfe80ed24865a22c891e6b16c3d1f7aa78b8aead96d1",
     "interfere stdout": "a7b0f6f46162731edb7e874079ae22d244fb767901d5a2e60f3ec1e73266b856",
-    # 131073 = 2 * 65536 + 1 trials: three chunks, the last of one trial
+    # nine chunks, the last of one trial
     "toolate 131073 run.csv": "ff7114b14be46a1af47c506de9fc3e9a5ee3fcad95af75500530ec0f5cdf1f41",
     "toolate 131073 run.records.jsonl":
         "948ef8e2806c785360241063e719cba0c37570601419b02b2dc27b2ccc961788",
@@ -444,7 +445,10 @@ def test_help_and_usage_errors_match_pinned_hashes(monkeypatch, capsys):
     assert got == USAGE_PINNED
 
 
-@pytest.mark.parametrize("trials", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+# around one chunk, and around runs of several: 65536 and 131072 are 4 and 8 chunks of 16384
+@pytest.mark.parametrize(
+    "trials", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3, 65535, 65536, 65537, 131075]
+)
 def test_streamed_records_match_whole_text_reference(tmp_path, monkeypatch, trials):
     monkeypatch.chdir(tmp_path)
     assert main(["toolate", "--trials", str(trials), "--seed", "7", "--out", "run.csv"]) == 0
@@ -459,11 +463,33 @@ def test_streamed_records_match_whole_text_reference(tmp_path, monkeypatch, tria
     assert first is None, f"line {first}: {got[first]!r} != {want[first]!r}"
 
 
+def chunked_artifacts(directory: Path, monkeypatch, capsys) -> dict:
+    directory.mkdir()
+    monkeypatch.chdir(directory)
+    argv = ["toolate", "--trials", "70001", "--seed", str(2**64 - 1), "--out", "run.csv"]
+    assert main(argv) == 0
+    assert main(["epr", "--trials", "70001", "--seed", "42"]) == 0
+    got = {"stdout": capsys.readouterr().out.encode("utf-8")}
+    for name in ("run.csv", "run.records.jsonl"):
+        got[name] = (directory / name).read_bytes()
+    return {name: hashlib.sha256(data).hexdigest() for name, data in got.items()}
+
+
+@pytest.mark.parametrize("chunk", [1000, 1 << 14, 1 << 16])
+def test_chunk_size_changes_no_byte(tmp_path, monkeypatch, capsys, chunk):
+    # each trial's draws depend only on (master seed, trial), so the
+    # artifacts are the same bytes at any batch size
+    want = chunked_artifacts(tmp_path / "default", monkeypatch, capsys)
+    monkeypatch.setattr(_kernels, "CHUNK", chunk)
+    assert chunked_artifacts(tmp_path / "chunked", monkeypatch, capsys) == want
+
+
 def test_records_run_holds_a_bounded_python_heap(tmp_path):
     # 300000 trials make 33 MB of records.  Written while sampling, one
     # chunk at a time, the traced peak is about one chunk's format
-    # arguments and bytes: 22 MB.  With a whole outcome array it was 31 MB,
-    # and with the whole text built first, 127 MB.
+    # arguments and bytes: 5.3 MB at 16384-trial chunks, 20.6 MB at
+    # 65536.  With a whole outcome array it was 31 MB, and with the whole
+    # text built first, 127 MB.
     tracemalloc.start()
     try:
         code = main(["toolate", "--trials", "300000", "--out", str(tmp_path / "run.csv")])
@@ -471,12 +497,13 @@ def test_records_run_holds_a_bounded_python_heap(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak < 32e6
+    assert peak < 10e6
 
 
 def test_table_run_holds_a_bounded_python_heap():
-    # tabulated chunk by chunk, 1e6 trials peak near 8 MB traced; a
-    # (trials, 4) int64 outcome array and its cell index made it 48 MB
+    # tabulated chunk by chunk, 1e6 trials peak near 1.3 MB traced at
+    # 16384-trial chunks and 4.5 MB at 65536; a (trials, 4) int64 outcome
+    # array and its cell index made it 48 MB
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -485,19 +512,16 @@ def test_table_run_holds_a_bounded_python_heap():
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak < 16e6
+    assert peak < 4e6
 
 
 # Linux carries the forking process's peak into a child's ru_maxrss across
 # exec, so the child reads the peak of its own image, VmHWM, instead
-@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
-def test_table_run_peak_rss_does_not_grow_with_trials():
-    # the whole process, numpy included, peaks near 40 MB at any trial
-    # count; a (4e6, 4) int64 outcome array alone would be 128 MB
+def child_peak_rss_mb(argv: list[str], cwd: Path) -> float:
     child = (
         "import sys\n"
         "from toolate.cli import main\n"
-        "code = main(['toolate', '--trials', '4000000'])\n"
+        f"code = main({argv!r})\n"
         "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
         "print(code, hwm.split()[1], file=sys.stderr)\n"
     )
@@ -505,6 +529,7 @@ def test_table_run_peak_rss_does_not_grow_with_trials():
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", child],
+        cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
@@ -512,4 +537,22 @@ def test_table_run_peak_rss_does_not_grow_with_trials():
     )
     code, peak_kb = proc.stderr.split()
     assert code == "0"
-    assert int(peak_kb) / 1024 < 100
+    return int(peak_kb) / 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_table_run_peak_rss_does_not_grow_with_trials(tmp_path):
+    # the whole process, numpy included, peaks near 32 MB at any trial
+    # count (36 MB at 65536-trial chunks); a (4e6, 4) int64 outcome array
+    # alone would be 128 MB
+    assert child_peak_rss_mb(["toolate", "--trials", "4000000"], tmp_path) < 100
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_records_run_peak_rss_stays_near_one_chunk(tmp_path):
+    # 300000 trials make 33 MB of records, written a chunk at a time: the
+    # whole process peaks near 36 MB at 16384-trial chunks and 57 MB at
+    # 65536, where each chunk's records and their format arguments
+    # came to 20 MB
+    argv = ["toolate", "--trials", "300000", "--out", "run.csv"]
+    assert child_peak_rss_mb(argv, tmp_path) < 48

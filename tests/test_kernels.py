@@ -57,8 +57,11 @@ def test_chunked_sampler_matches_collapse_path_at_chunk_boundaries(trine):
             assert batch[i].tolist() == want, (n, i)
 
 
+# around one chunk, and around runs of several: 65536 and 131072 are 4 and 8 chunks of 16384
 @pytest.mark.parametrize(
-    "n", [0, 1, _kernels.CHUNK - 1, _kernels.CHUNK, _kernels.CHUNK + 1, 2 * _kernels.CHUNK + 3]
+    "n",
+    [0, 1, _kernels.CHUNK - 1, _kernels.CHUNK, _kernels.CHUNK + 1, 2 * _kernels.CHUNK + 3,
+     65535, 65536, 65537, 131075],
 )
 def test_chunked_categorical_counts_match_scalar_draws(n):
     cum = _kernels.cumulative(np.array([[0.1, 0.2, 0.3, 0.4], [0.5, 0.0, 0.25, 0.25]]))
