@@ -45,7 +45,6 @@ from .protocol import (
     JointState,
     OutcomeRecord,
     Trine,
-    TrineProjectors,
     exit_vector,
     joint_distribution,
     measure_orientation,
@@ -53,7 +52,6 @@ from .protocol import (
     prepare_joint,
     run_trial,
     three_port_splitter,
-    trine_projectors,
     value_projectors,
 )
 from .qcore import (

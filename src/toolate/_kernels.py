@@ -31,14 +31,12 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .rng import GOLDEN, mix64
+from .rng import GOLDEN, INV53, MASK64, MIX1, MIX2, mix64
 
-_MASK64 = (1 << 64) - 1
 U64 = np.uint64
 _GOLD = U64(GOLDEN)
-_M1 = U64(0xBF58476D1CE4E5B9)
-_M2 = U64(0x94D049BB133111EB)
-_INV53 = 1.0 / 9007199254740992.0
+_M1 = U64(MIX1)
+_M2 = U64(MIX2)
 
 # trials per batch: each stream buffer is 128 KB and fits in L2; a chunk's records are 1.8 MB
 CHUNK = 1 << 14
@@ -77,7 +75,7 @@ def trial_seeds(master: int, trials: int, start: int, stream: _Stream) -> np.nda
     """uint64 seeds of trials start .. start + trials - 1, as rng.trial_seed,
     in the seed buffer of ``stream``, which the next call overwrites."""
     seeds = stream.seeds[:trials]
-    np.add(stream.steps[:trials], U64((start * GOLDEN + int(master)) & _MASK64), out=seeds)
+    np.add(stream.steps[:trials], U64((start * GOLDEN + int(master)) & MASK64), out=seeds)
     _mix(seeds, stream.tmp[:trials])
     return seeds
 
@@ -113,10 +111,10 @@ class _Stream:
         z, tmp, u = self.z[:n], self.tmp[:n], self.u[:n]
         # the draw offset is composed with Python ints: numpy warns on
         # scalar uint64 wraparound even though the result is well defined
-        np.add(seeds, U64(((draw + 1) * GOLDEN) & _MASK64), out=z)
+        np.add(seeds, U64(((draw + 1) * GOLDEN) & MASK64), out=z)
         _mix(z, tmp)
         z >>= U64(11)
-        np.multiply(z, _INV53, out=u)
+        np.multiply(z, INV53, out=u)
         return u
 
     def pick(self, columns: list[np.ndarray], row, u: np.ndarray) -> np.ndarray:

@@ -27,12 +27,9 @@ import numpy as np
 
 from . import qcore
 from .protocol import (
-    PARTICLE_A,
-    PARTICLE_B,
     ExitLabel,
     JointState,
     Trine,
-    TrineProjectors,
     exit_amplitudes,
     exit_basis,
     exit_labels,
@@ -112,19 +109,20 @@ def oracle_value_state(value: SpinValue, trine: Trine) -> np.ndarray:
 
 
 def oracle_conditional_state(
-    value_a: SpinValue, value_b: SpinValue, projectors: TrineProjectors
+    value_a: SpinValue, value_b: SpinValue, trine: Trine
 ) -> tuple[JointState, float]:
     """Ground-truth pair state after both value measurements.
 
-    Projects the prepared pair of ``projectors.trine`` with the two
-    value projectors and renormalizes; also returns the joint
-    probability of that value pair.  Derived entirely from first
+    Projects the prepared pair of ``trine`` with the two value
+    projectors of ``trine.families`` and renormalizes; also returns the
+    joint probability of that value pair.  Derived entirely from first
     principles.
     """
-    start = prepare_joint(projectors.trine)
-    prob_a, state = qcore.project(projectors.value[PARTICLE_A][value_a], start.vec)
-    prob_b, state = qcore.project(projectors.value[PARTICLE_B][value_b], state)
-    return JointState(state, projectors.trine), prob_a * prob_b
+    start = prepare_joint(trine)
+    (values_a, _), (values_b, _) = trine.families
+    prob_a, state = qcore.project(values_a[value_a], start.vec)
+    prob_b, state = qcore.project(values_b[value_b], state)
+    return JointState(state, trine), prob_a * prob_b
 
 
 @dataclass
@@ -166,21 +164,20 @@ def _zero_check_rows(
     return rows
 
 
-def verify_states(projectors: TrineProjectors) -> VerificationReport:
-    """Audit the three literal forms of ``projectors.trine`` against
-    first-principles states.
+def verify_states(trine: Trine) -> VerificationReport:
+    """Audit the three literal forms of ``trine`` against
+    first-principles states, derived with ``trine.families``.
 
     Deterministic: two invocations produce identical reports.  The
     report states what was measured; it asserts nothing.
     """
-    trine = projectors.trine
     labels = exit_labels(trine)
 
     single, single_norm = literal_value_state(SpinValue.UP, trine)
     pair, pair_norm = literal_pair_state(trine)
     joint, joint_norm = literal_joint_state(trine)
 
-    cond_upup, _ = oracle_conditional_state(SpinValue.UP, SpinValue.UP, projectors)
+    cond_upup, _ = oracle_conditional_state(SpinValue.UP, SpinValue.UP, trine)
     pre_value = prepare_joint(trine)
 
     equations = [

@@ -43,7 +43,6 @@ from .protocol import (
     joint_distribution,
     prepare_joint,
     stage_conditionals,
-    trine_projectors,
 )
 from .spinlab import (
     SpinValue,
@@ -94,6 +93,8 @@ class ExperimentConfig:
             raise ValueError("master_seed must be an integer")
         if not (self.output_path is None or isinstance(self.output_path, str)):
             raise ValueError("output_path must be a string or null")
+        if self.output_path == "":
+            raise ValueError("output_path must not be empty")
         if not (_is_finite(self.threshold) and 0.0 <= self.threshold <= 1.0):
             raise ValueError("threshold must be a finite number in [0, 1]")
         if not (
@@ -278,7 +279,7 @@ def sample_protocol(trine: Trine, trials: int, master_seed: int) -> np.ndarray:
     chunk copied and all decoded into one (trials, 4) array, with each
     rank turned into the exit index of ``exit_labels``: 2*rank + value.
     """
-    chunks = _outcome_chunks(stage_conditionals(trine_projectors(trine)), trials, master_seed)
+    chunks = _outcome_chunks(stage_conditionals(trine), trials, master_seed)
     cells = np.concatenate([np.empty(0, dtype=np.intp), *(cell.copy() for _, _, cell in chunks)])
     va, vb, ra, rb = np.unravel_index(cells, (2, 2, 3, 3))
     return np.column_stack([va, vb, 2 * ra + va, 2 * rb + vb])
@@ -297,7 +298,7 @@ def run_toolate(config: ExperimentConfig, records: BinaryIO | None = None) -> Es
         raise ValueError("run_toolate needs protocol toolate")
     trine = config.trine()
     degs = [f"{d:g}" for d in (degrees_of(t) for t in trine.orientations)]
-    tree = stage_conditionals(trine_projectors(trine))
+    tree = stage_conditionals(trine)
     p_values, cond, marg_a, marg_b = _exact_protocol_tables(tree)
 
     n = config.trials
@@ -500,8 +501,7 @@ def run_verify(config: ExperimentConfig) -> tuple[dict[str, Any], bool]:
     included in the payload but do not affect the verdict.
     """
     trine = config.trine()
-    projectors = trine_projectors(trine)
-    report = verify_states(projectors)
+    report = verify_states(trine)
     checks: list[dict[str, Any]] = []
 
     eq = {row["name"]: row for row in report.equations}
@@ -520,7 +520,7 @@ def run_verify(config: ExperimentConfig) -> tuple[dict[str, Any], bool]:
     _check(checks, "zero_amplitudes", report.all_zero_checks_pass(),
            "same-orientation same-value amplitudes vanish at 1e-14")
 
-    p_values, cond, marg_a, marg_b = _exact_protocol_tables(stage_conditionals(projectors))
+    p_values, cond, marg_a, marg_b = _exact_protocol_tables(stage_conditionals(trine))
     _check(checks, "value_pairs_quarter",
            bool(np.max(np.abs(p_values - 0.25)) <= 1e-12),
            "all four value pairs have probability 1/4")
@@ -541,7 +541,7 @@ def run_verify(config: ExperimentConfig) -> tuple[dict[str, Any], bool]:
     start = prepare_joint(trine)
     one_shot = joint_distribution(start)
     worst = max(
-        float(np.max(np.abs(composed_distribution(start, order, projectors) - one_shot)))
+        float(np.max(np.abs(composed_distribution(start, order) - one_shot)))
         for order in STAGE_ORDERS
     )
     _check(checks, "ordering_invariance", worst <= 1e-12,
@@ -567,7 +567,7 @@ def run_verify(config: ExperimentConfig) -> tuple[dict[str, Any], bool]:
         and abs(res0.fidelity_to_singlet - 1.0) <= 1e-10
     )
     for vv in (SpinValue.UP, SpinValue.DOWN):
-        state, _ = oracle_conditional_state(vv, vv, projectors)
+        state, _ = oracle_conditional_state(vv, vv, trine)
         res = erase_paths(state)
         erase_ok &= abs(res.fidelity_to_singlet - 1.0) <= 1e-10
         erase_ok &= abs(res.entanglement_bits - 1.0) <= 1e-10
@@ -594,7 +594,7 @@ def run_verify(config: ExperimentConfig) -> tuple[dict[str, Any], bool]:
     perm_err = 0.0
     for perm in perms:
         other = trine.permuted(perm)
-        pv2, cond2, ma2, mb2 = _exact_protocol_tables(stage_conditionals(trine_projectors(other)))
+        pv2, cond2, ma2, mb2 = _exact_protocol_tables(stage_conditionals(other))
         perm_err = max(
             perm_err,
             float(np.max(np.abs(pv2 - p_values))),

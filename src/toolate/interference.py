@@ -26,7 +26,6 @@ from .protocol import (
     Trine,
     prepare_joint,
     three_port_splitter,
-    trine_projectors,
     uniform_paths,
 )
 from .spinlab import SpinValue, singlet, spin_eigenstates
@@ -142,10 +141,9 @@ def swap_report(trine: Trine) -> dict[str, Any]:
         )
 
     add_row("prepared_pair", prepare_joint(trine))
-    projectors = trine_projectors(trine)
     for va in SpinValue:
         for vb in SpinValue:
-            state, _ = oracle_conditional_state(va, vb, projectors)
+            state, _ = oracle_conditional_state(va, vb, trine)
             add_row(f"conditional_{va.label}_{vb.label}", state)
 
     return {

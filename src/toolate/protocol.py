@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -84,6 +85,27 @@ class Trine:
             if angle == t:
                 return port
         raise ValueError(f"orientation {theta!r} is not in the trine")
+
+    @cached_property
+    def families(self) -> tuple[tuple[qcore.ProjectorFamily, qcore.ProjectorFamily], ...]:
+        """``families[particle]`` is ``(values, exits)`` for particle A
+        (0) and B (1): the value family (P_up, P_down) and the six exit
+        projectors in ``exit_labels`` order, on the pair.
+
+        Built from one exit basis on first use and kept as long as the
+        trine; equality and hashing still see only ``angles_by_port``.
+        Each family is checked once, as a 6x6 ``qcore.ProjectorFamily``
+        on one particle, and then embedded for A and for B without a
+        second check: embedding by an identity keeps every property the
+        6x6 check established (see ``ProjectorFamily.embed``)."""
+        basis = exit_basis(self)
+        values = qcore.ProjectorFamily(_value_blocks(basis))
+        # exit e's projector is the outer product of basis column e
+        exits = qcore.ProjectorFamily(basis.T[:, :, None] * basis.T.conj()[:, None, :])
+        return tuple(
+            (values.embed(*_identities(p)), exits.embed(*_identities(p)))
+            for p in (PARTICLE_A, PARTICLE_B)
+        )
 
 
 def degrees_of(theta: float) -> float:
@@ -187,66 +209,31 @@ def exit_projector(trine: Trine, particle: int, label: ExitLabel) -> np.ndarray:
     return qcore.kron_identity(np.outer(vec, vec.conj())[None], *_identities(particle))[0]
 
 
-class TrineProjectors(NamedTuple):
-    """A trine's four measurement families, each checked once when built.
-
-    ``value[particle]`` is (P_up, P_down) and ``exits[particle]`` the six
-    exit projectors in ``exit_labels`` order, for particle A (0) and B
-    (1).  Build them with ``trine_projectors`` in the call that uses
-    them: nothing keeps them past it.
-    """
-
-    trine: Trine
-    value: tuple[qcore.ProjectorFamily, qcore.ProjectorFamily]
-    exits: tuple[qcore.ProjectorFamily, qcore.ProjectorFamily]
-
-
-def trine_projectors(trine: Trine) -> TrineProjectors:
-    """Build the four families of ``trine`` from one exit basis.
-
-    The value family (P_up, P_down) and the six-member exit family are
-    checked once, as 6x6 ``qcore.ProjectorFamily``s on one particle,
-    and each is then embedded on the pair for particle A and for B.
-    The embedded families are not checked again: embedding by an
-    identity keeps every property the 6x6 check established (see
-    ``ProjectorFamily.embed``)."""
-    basis = exit_basis(trine)
-    values = qcore.ProjectorFamily(_value_blocks(basis))
-    # exit e's projector is the outer product of basis column e
-    exits = qcore.ProjectorFamily(basis.T[:, :, None] * basis.T.conj()[:, None, :])
-    sides = [_identities(p) for p in (PARTICLE_A, PARTICLE_B)]
-    return TrineProjectors(
-        trine,
-        tuple(values.embed(*side) for side in sides),
-        tuple(exits.embed(*side) for side in sides),
-    )
-
-
 def _families(
-    state: JointState, particle: int, projectors: TrineProjectors
+    state: JointState, particle: int
 ) -> tuple[qcore.ProjectorFamily, qcore.ProjectorFamily]:
-    """One particle's value and exit families, for a state of their trine."""
-    if projectors.trine != state.trine:
-        raise ValueError("projectors were built for another trine")
+    """One particle's value and exit families, from the state's trine."""
     if particle not in (PARTICLE_A, PARTICLE_B):
         raise ValueError("particle must be 0 (A) or 1 (B)")
-    return projectors.value[particle], projectors.exits[particle]
+    return state.trine.families[particle]
 
 
 def measure_value(
-    state: JointState, particle: int, rng: TrialRng, projectors: TrineProjectors
+    state: JointState, particle: int, rng: TrialRng
 ) -> tuple[SpinValue, JointState]:
-    """Measure one particle's spin value only; orientation stays superposed."""
-    values, _ = _families(state, particle, projectors)
+    """Measure one particle's spin value only; orientation stays superposed.
+    Samples the value family of the state's trine (``Trine.families``)."""
+    values, _ = _families(state, particle)
     index, post = qcore.sample(state.vec, values, rng)
     return SpinValue(index), JointState(post, state.trine)
 
 
 def measure_orientation(
-    state: JointState, particle: int, rng: TrialRng, projectors: TrineProjectors
+    state: JointState, particle: int, rng: TrialRng
 ) -> tuple[ExitLabel, JointState]:
-    """Complete one particle's measurement by sampling its six exits."""
-    _, exits = _families(state, particle, projectors)
+    """Complete one particle's measurement by sampling its six exits,
+    the exit family of the state's trine (``Trine.families``)."""
+    _, exits = _families(state, particle)
     index, post = qcore.sample(state.vec, exits, rng)
     return exit_labels(state.trine)[index], JointState(post, state.trine)
 
@@ -278,15 +265,14 @@ STAGE_ORDERS: tuple[tuple[str, ...], ...] = (
 )
 
 
-def composed_distribution(
-    state: JointState, order: Sequence[str], projectors: TrineProjectors
-) -> np.ndarray:
+def composed_distribution(state: JointState, order: Sequence[str]) -> np.ndarray:
     """Joint exit table composed from sequential stage probabilities.
 
     ``order`` interleaves the four stages (value/orientation for each
-    particle) with each particle's value before its orientation.  Used
-    as the ordering-invariance oracle against ``joint_distribution``.
-    Each branch weighs every member of its stage's family in one
+    particle) with each particle's value before its orientation, each
+    measured with the families of the state's trine.  Used as the
+    ordering-invariance oracle against ``joint_distribution``.  Each
+    branch weighs every member of its stage's family in one
     ``qcore.projections`` product, all six exits for an orientation
     stage, and each child branch collapses by dividing its projected row
     by the square root of its weight.
@@ -299,7 +285,7 @@ def composed_distribution(
     labels = exit_labels(state.trine)
     partitions = {}  # by stage tag
     for side, particle in (("A", PARTICLE_A), ("B", PARTICLE_B)):
-        partitions["v" + side], partitions["o" + side] = _families(state, particle, projectors)
+        partitions["v" + side], partitions["o" + side] = _families(state, particle)
     table = np.zeros((PARTICLE_DIM, PARTICLE_DIM))
     # depth-first over outcome branches; each (exit_A, exit_B) leaf is
     # reached by exactly one branch, so the visiting order is immaterial
@@ -349,20 +335,18 @@ class StageConditionals:
     p_orient_b: np.ndarray         # (2, 2, 3, 3) [vA, vB, rA, rB]
 
 
-def stage_conditionals(projectors: TrineProjectors) -> StageConditionals:
-    """The stage tables of ``projectors.trine``, by projecting its
-    prepared pair with the trine's families.  The value stages collapse
-    through ``qcore.project``.  Each orientation stage projects only onto
-    the exits of the value drawn before it, ``stack[v::2]``, in one
+def stage_conditionals(trine: Trine) -> StageConditionals:
+    """The stage tables of ``trine``, by projecting its prepared pair
+    with ``trine.families``.  The value stages collapse through
+    ``qcore.project``.  Each orientation stage projects only onto the
+    exits of the value drawn before it, ``stack[v::2]``, in one
     ``qcore.projections`` product, and A's exit collapses reuse its
     projected rows.  A value pair whose joint weight is at or below
     1e-12 keeps weight 0 and all-zero orientation rows, as an
     orientation of weight 0 does; that includes a B value that
     ``qcore.project`` refuses to collapse onto after A's collapse."""
-    trine = projectors.trine
     start = prepare_joint(trine)
-    proj_a, proj_b = projectors.value
-    exits_a, exits_b = projectors.exits
+    (proj_a, exits_a), (proj_b, exits_b) = trine.families
 
     p_value_a = np.zeros(2)
     p_value_b = np.zeros((2, 2))
@@ -410,10 +394,9 @@ class OutcomeRecord:
 
 def run_trial(trine: Trine, rng: TrialRng, trial: int = 0) -> OutcomeRecord:
     """One full value-first trial via explicit state collapse (slow path)."""
-    projectors = trine_projectors(trine)
     state = prepare_joint(trine)
-    value_a, state = measure_value(state, PARTICLE_A, rng, projectors)
-    value_b, state = measure_value(state, PARTICLE_B, rng, projectors)
-    exit_a, state = measure_orientation(state, PARTICLE_A, rng, projectors)
-    exit_b, state = measure_orientation(state, PARTICLE_B, rng, projectors)
+    value_a, state = measure_value(state, PARTICLE_A, rng)
+    value_b, state = measure_value(state, PARTICLE_B, rng)
+    exit_a, state = measure_orientation(state, PARTICLE_A, rng)
+    exit_b, state = measure_orientation(state, PARTICLE_B, rng)
     return OutcomeRecord(trial, rng.seed, value_a, value_b, exit_a, exit_b)

@@ -17,26 +17,29 @@ module.
 from __future__ import annotations
 
 GOLDEN = 0x9E3779B97F4A7C15
-_MASK = (1 << 64) - 1
-_INV53 = 1.0 / 9007199254740992.0  # 2**-53
+MASK64 = (1 << 64) - 1
+# the splitmix64 finalizer's two multipliers
+MIX1 = 0xBF58476D1CE4E5B9
+MIX2 = 0x94D049BB133111EB
+INV53 = 1.0 / 9007199254740992.0  # 2**-53
 
 
 def mix(z: int) -> int:
     """splitmix64 finalizer on a 64-bit integer."""
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z &= MASK64
+    z = ((z ^ (z >> 30)) * MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * MIX2) & MASK64
     return z ^ (z >> 31)
 
 
 def mix64(a: int, b: int) -> int:
     """Combine two 64-bit values into a well-mixed 64-bit seed."""
-    return mix((a + (b + 1) * GOLDEN) & _MASK)
+    return mix((a + (b + 1) * GOLDEN) & MASK64)
 
 
 def uniform_at(seed: int, index: int) -> float:
     """The index-th uniform in [0, 1) of the stream rooted at ``seed``."""
-    return (mix((seed + (index + 1) * GOLDEN) & _MASK) >> 11) * _INV53
+    return (mix((seed + (index + 1) * GOLDEN) & MASK64) >> 11) * INV53
 
 
 def trial_seed(master_seed: int, trial_id: int) -> int:
@@ -53,7 +56,7 @@ class TrialRng:
     """
 
     def __init__(self, seed: int):
-        self.seed = seed & _MASK
+        self.seed = seed & MASK64
         self.counter = 0
 
     def uniform(self) -> float:

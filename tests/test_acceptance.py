@@ -52,7 +52,6 @@ from toolate.protocol import (
     joint_distribution,
     prepare_joint,
     stage_conditionals,
-    trine_projectors,
 )
 from toolate.spinlab import SpinValue, chsh_value, correlations
 
@@ -95,7 +94,7 @@ def test_criterion_02_chsh_bounds():
 
 def test_criterion_03_value_pair_statistics():
     failures = []
-    tree = stage_conditionals(trine_projectors(TRINE))
+    tree = stage_conditionals(TRINE)
     joint = tree.p_value_a[:, None] * tree.p_value_b
     if np.max(np.abs(joint - 0.25)) > 1e-12:
         failures.append("exact value-pair probabilities deviate from 1/4")
@@ -118,7 +117,7 @@ def test_criterion_03_value_pair_statistics():
 
 def test_criterion_04_orientation_anticorrelation():
     failures = []
-    tree = stage_conditionals(trine_projectors(TRINE))
+    tree = stage_conditionals(TRINE)
     oracle = independent_exit_table(TRINE.angles_by_port)
     for v in (0, 1):
         cond = np.zeros((3, 3))
@@ -145,9 +144,8 @@ def test_criterion_05_ordering_invariance():
     failures = []
     state = prepare_joint(TRINE)
     one_shot = joint_distribution(state)
-    projectors = trine_projectors(TRINE)
     for order in STAGE_ORDERS:
-        gap = float(np.max(np.abs(composed_distribution(state, order, projectors) - one_shot)))
+        gap = float(np.max(np.abs(composed_distribution(state, order) - one_shot)))
         if gap > 1e-12:
             failures.append(f"interleaving {'>'.join(order)} deviates by {gap:.2e}")
     conclude(5, "joint table invariant across all stage interleavings", failures)
@@ -174,7 +172,7 @@ def test_criterion_06_equation_audits():
         trine = Trine.from_degrees(degrees)
         where = ",".join(map(str, degrees))
         pair_t, _ = literal_pair_state(trine)
-        oracle_t, _ = oracle_conditional_state(SpinValue.UP, SpinValue.UP, trine_projectors(trine))
+        oracle_t, _ = oracle_conditional_state(SpinValue.UP, SpinValue.UP, trine)
         even_gap = float(np.max(np.abs(exchange(pair_t) - pair_t)))
         odd_gap = float(np.max(np.abs(exchange(oracle_t.vec) + oracle_t.vec)))
         fid_pair = qcore.fidelity(pair_t, oracle_t.vec)
@@ -186,7 +184,7 @@ def test_criterion_06_equation_audits():
             failures.append(f"pair form overlap with derived up-up state at {where} is "
                             f"{fid_pair:.3e}, not 0 within 1e-12")
 
-    oracle_upup, _ = oracle_conditional_state(SpinValue.UP, SpinValue.UP, trine_projectors(TRINE))
+    oracle_upup, _ = oracle_conditional_state(SpinValue.UP, SpinValue.UP, TRINE)
     mag_gap = float(
         np.max(
             np.abs(
@@ -198,7 +196,7 @@ def test_criterion_06_equation_audits():
     if mag_gap > 1e-12:
         failures.append(f"exit magnitudes differ entrywise by {mag_gap:.1e}")
 
-    report = verify_states(trine_projectors(TRINE))
+    report = verify_states(TRINE)
     eq = {row["name"]: row for row in report.equations}
     fid_joint = eq["joint_all_values"]["fidelity_vs_oracle"]
     if not (0.0 <= fid_joint < 1.0):
@@ -234,7 +232,7 @@ def test_criterion_07_interference_discrimination():
 
 def test_criterion_08_erasure_swap():
     failures = []
-    state, _ = oracle_conditional_state(SpinValue.UP, SpinValue.UP, trine_projectors(TRINE))
+    state, _ = oracle_conditional_state(SpinValue.UP, SpinValue.UP, TRINE)
     res = erase_paths(state)
     if abs(res.fidelity_to_singlet - 1.0) > 1e-10:
         failures.append(f"singlet fidelity {res.fidelity_to_singlet!r} not 1 within 1e-10")
@@ -275,17 +273,15 @@ def test_criterion_09_reproducibility():
 
 def test_criterion_10_port_binding_invariance():
     failures = []
-    base_projectors = trine_projectors(TRINE)
-    base_tree = stage_conditionals(base_projectors)
+    base_tree = stage_conditionals(TRINE)
     base_joint = joint_distribution(prepare_joint(TRINE))
     base_ports = recombine(literal_value_state(SpinValue.UP, TRINE)[0])
-    base_state, _ = oracle_conditional_state(SpinValue.UP, SpinValue.UP, base_projectors)
+    base_state, _ = oracle_conditional_state(SpinValue.UP, SpinValue.UP, TRINE)
     base_erase = erase_paths(base_state)
     base_outcomes = sample_protocol(TRINE, 20000, 616)
     for perm in ALL_PERMS:
         other = TRINE.permuted(perm)
-        projectors = trine_projectors(other)
-        tree = stage_conditionals(projectors)
+        tree = stage_conditionals(other)
         checks = {
             "value stage": np.max(np.abs(tree.p_value_a - base_tree.p_value_a)),
             "partner value stage": np.max(np.abs(tree.p_value_b - base_tree.p_value_b)),
@@ -303,14 +299,14 @@ def test_criterion_10_port_binding_invariance():
         for name, gap in checks.items():
             if gap > 1e-12:
                 failures.append(f"{name} changed under binding {perm} by {gap:.2e}")
-        res = erase_paths(oracle_conditional_state(SpinValue.UP, SpinValue.UP, projectors)[0])
+        res = erase_paths(oracle_conditional_state(SpinValue.UP, SpinValue.UP, other)[0])
         if (
             abs(res.success_prob - base_erase.success_prob) > 1e-12
             or abs(res.fidelity_to_singlet - base_erase.fidelity_to_singlet) > 1e-12
             or abs(res.entanglement_bits - base_erase.entanglement_bits) > 1e-12
         ):
             failures.append(f"erasure statistics changed under binding {perm}")
-        report = verify_states(projectors)
+        report = verify_states(other)
         norms = [row["literal_norm"] for row in report.equations]
         if max(abs(n - e) for n, e in zip(norms, (1.0, 1 / 3, 1 / 3))) > 1e-12:
             failures.append(f"literal norms changed under binding {perm}")

@@ -18,7 +18,6 @@ from toolate.protocol import (
     exit_amplitudes,
     exit_vector,
     prepare_joint,
-    trine_projectors,
     uniform_paths,
 )
 from toolate.spinlab import SpinValue
@@ -84,11 +83,11 @@ class TestOracleStates:
     def test_conditional_probability_quarter(self, trine):
         for va in SpinValue:
             for vb in SpinValue:
-                _, prob = oracle_conditional_state(va, vb, trine_projectors(trine))
+                _, prob = oracle_conditional_state(va, vb, trine)
                 assert abs(prob - 0.25) < 1e-12
 
     def test_up_up_amplitudes_antisymmetric_uniform(self, trine):
-        state, _ = oracle_conditional_state(SpinValue.UP, SpinValue.UP, trine_projectors(trine))
+        state, _ = oracle_conditional_state(SpinValue.UP, SpinValue.UP, trine)
         amps = exit_amplitudes(state)
         up = amps[0::2, 0::2]  # up-up block by orientation rank
         np.testing.assert_allclose(np.diag(up), np.zeros(3), atol=1e-14)
@@ -99,7 +98,7 @@ class TestOracleStates:
                     assert abs(up[ra, rb] + up[rb, ra]) < 1e-14  # sign alternation
 
     def test_up_down_magnitudes(self, trine):
-        state, _ = oracle_conditional_state(SpinValue.UP, SpinValue.DOWN, trine_projectors(trine))
+        state, _ = oracle_conditional_state(SpinValue.UP, SpinValue.DOWN, trine)
         amps = exit_amplitudes(state)
         block = amps[0::2, 1::2]  # up(A) x down(B) by rank
         # frozen: same-orientation 2/(3*sqrt 2) = 0.4714...; unequal half that
@@ -111,7 +110,7 @@ class TestOracleStates:
 
     def test_pair_overlap_vanishes_despite_matching_magnitudes(self, trine):
         literal, _ = literal_pair_state(trine)
-        oracle, _ = oracle_conditional_state(SpinValue.UP, SpinValue.UP, trine_projectors(trine))
+        oracle, _ = oracle_conditional_state(SpinValue.UP, SpinValue.UP, trine)
         # the derived state is odd under particle exchange; the literal is even
         assert qcore.fidelity(literal, oracle.vec) < 1e-12
         lit_mags = np.abs(exit_amplitudes_of(literal, trine))
@@ -143,12 +142,12 @@ def exit_amplitudes_of(vec36: np.ndarray, trine: Trine) -> np.ndarray:
 
 class TestVerifyStates:
     def test_report_is_deterministic(self, trine):
-        a = verify_states(trine_projectors(trine)).to_dict()
-        b = verify_states(trine_projectors(trine)).to_dict()
+        a = verify_states(trine).to_dict()
+        b = verify_states(trine).to_dict()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_schema_and_values(self, trine):
-        report = verify_states(trine_projectors(trine))
+        report = verify_states(trine)
         data = report.to_dict()
         assert set(data) == {"equations", "amplitude_table", "zero_checks", "notes"}
         names = {row["name"]: row for row in data["equations"]}
@@ -163,7 +162,7 @@ class TestVerifyStates:
 
     def test_amplitude_table_magnitudes(self, trine):
         # frozen pre-value magnitudes: 1/(3 sqrt 2), sin(pi/3)/(3 sqrt 2), cos(pi/3)/(3 sqrt 2)
-        report = verify_states(trine_projectors(trine))
+        report = verify_states(trine)
         mags = sorted({round(row["magnitude"], 10) for row in report.amplitude_table})
         expected = sorted(
             {
@@ -176,7 +175,7 @@ class TestVerifyStates:
         assert mags == expected
 
     def test_zero_checks_cover_three_states(self, trine):
-        report = verify_states(trine_projectors(trine))
+        report = verify_states(trine)
         prefixes = {row["label"].split("[")[0] for row in report.zero_checks}
         assert prefixes == {"literal_joint", "pre_value_oracle", "conditional_up_up"}
         assert len(report.zero_checks) == 18

@@ -291,6 +291,8 @@ def test_bad_port_binding(capsys):
         ('{"master_seed": true}', ["toolate"], "master_seed"),
         ('{"port_binding": 5}', ["verify"], "port_binding"),
         ('{"output_path": 5}', ["verify"], "output_path"),
+        (None, ["epr", "--out", ""], "output_path"),
+        ('{"output_path": ""}', ["toolate"], "output_path"),
     ],
     ids=[
         "config-array",
@@ -318,6 +320,8 @@ def test_bad_port_binding(capsys):
         "seed-bool",
         "port-binding-number",
         "output-path-number",
+        "output-path-empty-flag",
+        "output-path-empty-config",
     ],
 )
 def test_bad_config_boundary_is_one_error_line(tmp_path, capsys, config_text, argv, mentions):

@@ -19,7 +19,6 @@ from toolate.protocol import (
     JointState,
     prepare_joint,
     three_port_splitter,
-    trine_projectors,
     uniform_paths,
 )
 from toolate.spinlab import SpinValue, singlet
@@ -92,7 +91,7 @@ class TestErasure:
 
     @pytest.mark.parametrize("va,vb", [(v, w) for v in SpinValue for w in SpinValue])
     def test_conditional_states_restore_the_singlet(self, trine, va, vb):
-        state, _ = oracle_conditional_state(va, vb, trine_projectors(trine))
+        state, _ = oracle_conditional_state(va, vb, trine)
         res = erase_paths(state)
         # frozen: acceptance weight 1/4, singlet restored for all four pairs
         assert abs(res.success_prob - 0.25) < 1e-10
@@ -100,7 +99,7 @@ class TestErasure:
         assert abs(res.entanglement_bits - 1.0) < 1e-10
 
     def test_entropy_agrees_with_jacobi_oracle(self, trine):
-        state, _ = oracle_conditional_state(SpinValue.UP, SpinValue.UP, trine_projectors(trine))
+        state, _ = oracle_conditional_state(SpinValue.UP, SpinValue.UP, trine)
         res = erase_paths(state)
         rho = qcore.reduced_density(res.post_spin_state, (2, 2), keep=(0,))
         assert abs(res.entanglement_bits - entropy_bits(rho)) < 1e-9

@@ -10,7 +10,7 @@ import scipy.stats
 from oracles import categorical_counts_reference, protocol_outcomes_reference
 from toolate import _kernels, qcore
 from toolate.experiments import ExperimentConfig, run_toolate, sample_protocol
-from toolate.protocol import exit_labels, run_trial, stage_conditionals, trine_projectors
+from toolate.protocol import exit_labels, run_trial, stage_conditionals
 from toolate.rng import TrialRng, mix64, trial_seed, uniform_at
 from toolate.spinlab import joint_value_probabilities
 
@@ -102,7 +102,7 @@ def test_batch_frequencies_match_projection_weights(trine):
 @pytest.mark.parametrize("angles", SWEEP_TRINES)
 def test_protocol_outcomes_match_gather_reference(angles, binding, seed):
     trine = ExperimentConfig("toolate", angles=angles, port_binding=binding).trine()
-    tree = stage_conditionals(trine_projectors(trine))
+    tree = stage_conditionals(trine)
     cums = [_kernels.cumulative(p)
             for p in (tree.p_value_a, tree.p_value_b, tree.p_orient_a, tree.p_orient_b)]
     got = sample_protocol(trine, SWEEP_TRIALS, seed)

@@ -27,7 +27,6 @@ from toolate.protocol import (
     run_trial,
     stage_conditionals,
     three_port_splitter,
-    trine_projectors,
     value_projectors,
 )
 from toolate.rng import TrialRng
@@ -147,7 +146,7 @@ class TestValueProjectors:
 
 class TestMeasurement:
     def test_value_pair_weights_quarter(self, trine):
-        tree = stage_conditionals(trine_projectors(trine))
+        tree = stage_conditionals(trine)
         joint = tree.p_value_a[:, None] * tree.p_value_b
         np.testing.assert_allclose(joint, np.full((2, 2), 0.25), atol=1e-12)
 
@@ -165,19 +164,16 @@ class TestMeasurement:
 
     def test_measure_value_reproducible(self, trine):
         state = prepare_joint(trine)
-        projectors = trine_projectors(trine)
         outcomes = [
-            measure_value(state, PARTICLE_A, TrialRng.for_trial(11, i), projectors)[0]
-            for i in range(50)
+            measure_value(state, PARTICLE_A, TrialRng.for_trial(11, i))[0] for i in range(50)
         ]
         again = [
-            measure_value(state, PARTICLE_A, TrialRng.for_trial(11, i), projectors)[0]
-            for i in range(50)
+            measure_value(state, PARTICLE_A, TrialRng.for_trial(11, i))[0] for i in range(50)
         ]
         assert outcomes == again
 
     def test_orientation_conditionals_given_up_up(self, trine):
-        tree = stage_conditionals(trine_projectors(trine))
+        tree = stage_conditionals(trine)
         cond = np.zeros((3, 3))
         for ra in range(3):
             for rb in range(3):
@@ -188,11 +184,10 @@ class TestMeasurement:
 
     def test_measure_orientation_respects_prior_value(self, trine):
         state = prepare_joint(trine)
-        projectors = trine_projectors(trine)
         for trial in range(30):
             rng = TrialRng.for_trial(17, trial)
-            value_a, state_a = measure_value(state, PARTICLE_A, rng, projectors)
-            exit_a, _ = measure_orientation(state_a, PARTICLE_A, rng, projectors)
+            value_a, state_a = measure_value(state, PARTICLE_A, rng)
+            exit_a, _ = measure_orientation(state_a, PARTICLE_A, rng)
             assert exit_a.value == value_a
 
 
@@ -214,16 +209,13 @@ class TestJointDistribution:
     def test_ordering_invariance_all_interleavings(self, trine):
         state = prepare_joint(trine)
         one_shot = joint_distribution(state)
-        projectors = trine_projectors(trine)
         for order in STAGE_ORDERS:
-            composed = composed_distribution(state, order, projectors)
+            composed = composed_distribution(state, order)
             assert np.max(np.abs(composed - one_shot)) < 1e-12
 
     def test_rejects_misordered_stages(self, trine):
         with pytest.raises(ValueError):
-            composed_distribution(
-                prepare_joint(trine), ("oA", "vA", "vB", "oB"), trine_projectors(trine)
-            )
+            composed_distribution(prepare_joint(trine), ("oA", "vA", "vB", "oB"))
 
 
 class TestPortBinding:
@@ -266,7 +258,7 @@ class TestRecords:
 
 class TestStageConditionals:
     def test_snapped_zeros_are_exact(self, trine):
-        tree = stage_conditionals(trine_projectors(trine))
+        tree = stage_conditionals(trine)
         # equal values forbid the matching orientation on the partner side
         for v in range(2):
             for rank in range(3):
@@ -279,14 +271,14 @@ class TestStageConditionals:
         # the equal-value pairs weigh about 1e-16 in the first two, which
         # qcore.project refuses to collapse onto; in the third, B's value
         # weighs 1.02e-12 after A's collapse, but the pair weighs 5.1e-13
-        tree = stage_conditionals(trine_projectors(Trine.from_degrees(degrees)))
+        tree = stage_conditionals(Trine.from_degrees(degrees))
         for v in range(2):
             assert tree.p_value_b[v, v] == 0.0 and tree.p_value_b[v, 1 - v] == 1.0
             assert not tree.p_orient_a[v, v].any() and not tree.p_orient_b[v, v].any()
             assert abs(tree.p_orient_a[v, 1 - v].sum() - 1.0) < 1e-14
 
     def test_rows_renormalized(self, trine):
-        tree = stage_conditionals(trine_projectors(trine))
+        tree = stage_conditionals(trine)
         assert abs(tree.p_value_a.sum() - 1.0) < 1e-15
         for va in range(2):
             for vb in range(2):

@@ -19,8 +19,8 @@ from toolate.protocol import (
     exit_projector,
     exit_vector,
     prepare_joint,
+    run_trial,
     stage_conditionals,
-    trine_projectors,
     value_projectors,
 )
 from toolate.rng import TrialRng
@@ -194,22 +194,38 @@ class TestProjectorFamily:
         checked = []
         real = qcore.is_projector
         monkeypatch.setattr(qcore, "is_projector", lambda op: checked.append(op) or real(op))
-        projectors = trine_projectors(trine)
+        families = trine.families
         # the value and exit families of one particle, on its 6x6 blocks;
         # the four 36x36 families are embeddings of those two
         assert len(checked) == 2 + 6
         assert all(type(op) is np.ndarray and op.shape == (6, 6) for op in checked)
-        members = [m for fams in (projectors.value, projectors.exits) for f in fams for m in f]
+        members = [m for fams in families for f in fams for m in f]
         assert len(members) == 2 * (2 + 6) and all(m.shape == (36, 36) for m in members)
 
         checked.clear()
+        assert trine.families is families  # kept by the trine, not built again
+        assert not checked
         full = []
         real_close = qcore.within_atol
         monkeypatch.setattr(qcore, "within_atol", lambda a, b: full.append(1) or real_close(a, b))
-        stage_conditionals(projectors)
-        composed_distribution(prepare_joint(trine), STAGE_ORDERS[0], projectors)
+        stage_conditionals(trine)
+        composed_distribution(prepare_joint(trine), STAGE_ORDERS[0])
         assert checked  # project still asks about every projector
         assert not full  # and nothing is checked again
+
+    def test_run_trial_checks_its_trine_families_once(self, trine, monkeypatch):
+        checked = []
+        real = qcore.is_projector
+        monkeypatch.setattr(qcore, "is_projector", lambda op: checked.append(op) or real(op))
+        for i in range(25):
+            run_trial(trine, TrialRng.for_trial(3, i), i)
+        assert len(checked) == 2 + 6  # the first trial's build; the rest reuse it
+
+    def test_built_families_leave_equality_and_hash_alone(self, trine):
+        fresh = Trine.default()
+        assert len(trine.families) == 2
+        assert "families" in vars(trine) and "families" not in vars(fresh)
+        assert trine == fresh and hash(trine) == hash(fresh)
 
     @pytest.mark.parametrize(
         "break_basis",
@@ -227,8 +243,9 @@ class TestProjectorFamily:
             qcore, "kron_identity", lambda *args: embedded.append(1) or real_kron(*args)
         )
         with pytest.raises(qcore.InvalidPartition):
-            trine_projectors(trine)
+            trine.families
         assert not embedded
+        assert "families" not in vars(trine)  # a failed build is not kept
 
     @pytest.mark.parametrize("left, right", [(1, 6), (6, 1), (2, 3)])
     def test_embed_is_the_kron_with_identities_and_checks_nothing(
@@ -278,9 +295,8 @@ class TestProjections:
     @pytest.mark.parametrize("degrees, perm", STACKED_TRINES)
     def test_weights_and_rows_match_each_member(self, rand, degrees, perm):
         trine = Trine.from_degrees(degrees).permuted(perm)
-        projectors = trine_projectors(trine)
         states = [prepare_joint(trine).vec] + [random_state(rand, 36) for _ in range(4)]
-        for family in projectors.value + projectors.exits:
+        for family in (f for pair in trine.families for f in pair):
             for stack in (family.stack, family.stack[0::2], family.stack[1::2]):
                 for state in states:
                     weights, rows = qcore.projections(stack, state)
@@ -290,8 +306,8 @@ class TestProjections:
 
     @pytest.mark.parametrize("degrees, perm", STACKED_TRINES)
     def test_embedded_families_pass_the_full_check(self, degrees, perm):
-        projectors = trine_projectors(Trine.from_degrees(degrees).permuted(perm))
-        for family in projectors.value + projectors.exits:
+        trine = Trine.from_degrees(degrees).permuted(perm)
+        for family in (f for pair in trine.families for f in pair):
             copies = [np.array(member) for member in family]
             assert all(type(c) is np.ndarray for c in copies)  # not trusted, so checked
             ops = qcore.validate_partition(copies, 36)
@@ -300,21 +316,21 @@ class TestProjections:
     @pytest.mark.parametrize("degrees, perm", STACKED_TRINES)
     def test_family_members_match_the_single_builders(self, degrees, perm):
         trine = Trine.from_degrees(degrees).permuted(perm)
-        projectors = trine_projectors(trine)
         eye = np.eye(6, dtype=complex)
         kron = {PARTICLE_A: lambda op: np.kron(op, eye), PARTICLE_B: lambda op: np.kron(eye, op)}
         for particle in (PARTICLE_A, PARTICLE_B):
+            values, exits = trine.families[particle]
             for v in SpinValue:
                 want = value_projectors(trine, particle)[v]
-                assert projectors.value[particle][v].tobytes() == want.tobytes()
+                assert values[v].tobytes() == want.tobytes()
             for e, label in enumerate(exit_labels(trine)):
                 want = exit_projector(trine, particle, label)
-                assert projectors.exits[particle][e].tobytes() == want.tobytes()
+                assert exits[e].tobytes() == want.tobytes()
                 vec = exit_vector(trine, label)
                 assert want.tobytes() == kron[particle](np.outer(vec, vec.conj())).tobytes()
 
     def test_members_are_trusted_read_only_views_of_the_stack(self, trine, monkeypatch):
-        families = trine_projectors(trine).exits
+        families = [exits for _, exits in trine.families]
         full = []
         real = qcore.within_atol
         monkeypatch.setattr(qcore, "within_atol", lambda a, b: full.append(1) or real(a, b))
@@ -399,7 +415,7 @@ class TestEntropy:
         assert abs(qcore.entanglement_entropy(np.eye(2) / 2) - 1.0) < 1e-14
 
     def test_conditional_state_reduction_against_jacobi_oracle(self, trine):
-        state, _ = oracle_conditional_state(SpinValue.UP, SpinValue.UP, trine_projectors(trine))
+        state, _ = oracle_conditional_state(SpinValue.UP, SpinValue.UP, trine)
         rho = qcore.reduced_density(state.vec, JOINT_LAYOUT, keep=(0, 1))
         assert rho.shape == (6, 6)
         assert abs(qcore.entanglement_entropy(rho) - entropy_bits(rho)) < 1e-9

@@ -48,3 +48,10 @@ def test_kernel_trial_seeds_reuse_one_buffer_per_stream():
 
 def test_golden_constant_is_the_published_one():
     assert GOLDEN == 0x9E3779B97F4A7C15
+
+
+def test_mix_gives_the_published_splitmix64_outputs():
+    # the first three outputs of splitmix64 seeded with 0; the kernels
+    # share these constants, so the scalar-vs-batch tests cannot catch a wrong one
+    outputs = [mix(k * GOLDEN) for k in (1, 2, 3)]
+    assert outputs == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
