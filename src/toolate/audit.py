@@ -149,18 +149,13 @@ class VerificationReport:
 def _zero_check_rows(
     name: str, amps: np.ndarray, trine: Trine, labels: list[ExitLabel]
 ) -> list[dict[str, Any]]:
+    # the labels are distinct, so same orientation and same value is the diagonal
     rows = []
-    for i, la in enumerate(labels):
-        for j, lb in enumerate(labels):
-            if la.theta == lb.theta and la.value == lb.value:
-                mag = float(abs(amps[i, j]))
-                rows.append(
-                    {
-                        "label": f"{name}[{la.text(trine)} & {lb.text(trine)}]",
-                        "magnitude": mag,
-                        "pass": mag <= ZERO_CHECK_TOL,
-                    }
-                )
+    for i, label in enumerate(labels):
+        text, mag = label.text(trine), float(abs(amps[i, i]))
+        rows.append(
+            {"label": f"{name}[{text} & {text}]", "magnitude": mag, "pass": mag <= ZERO_CHECK_TOL}
+        )
     return rows
 
 

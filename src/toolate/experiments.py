@@ -39,6 +39,7 @@ from .protocol import (
     StageConditionals,
     Trine,
     composed_distribution,
+    degree_text,
     degrees_of,
     joint_distribution,
     prepare_joint,
@@ -197,10 +198,6 @@ def json_report_text(payload: dict[str, Any]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _deg(rad: float) -> str:
-    return f"{degrees_of(rad):g}"
-
-
 # --- standard Bell runs --------------------------------------------------------
 
 
@@ -214,10 +211,10 @@ def run_epr(config: ExperimentConfig) -> EstimateTable:
         raise ValueError("run_epr needs protocol epr_standard")
     a, a2, b, b2 = config.chsh_angles()
     pairs = [
-        (f"E({_deg(a)},{_deg(b)})", a, b),
-        (f"E({_deg(a)},{_deg(b2)})", a, b2),
-        (f"E({_deg(a2)},{_deg(b)})", a2, b),
-        (f"E({_deg(a2)},{_deg(b2)})", a2, b2),
+        (f"E({degree_text(a)},{degree_text(b)})", a, b),
+        (f"E({degree_text(a)},{degree_text(b2)})", a, b2),
+        (f"E({degree_text(a2)},{degree_text(b)})", a2, b),
+        (f"E({degree_text(a2)},{degree_text(b2)})", a2, b2),
     ]
     table = EstimateTable()
     exact = [correlation_exact(x, y) for _, x, y in pairs]
@@ -228,10 +225,9 @@ def run_epr(config: ExperimentConfig) -> EstimateTable:
     s_est = s_err = None
     n = config.trials
     if n > 0:
-        probs = np.array([joint_value_probabilities(x, y) for _, x, y in pairs])
         # rounding dust on an impossible pair (equal settings give ~1e-32
-        # on uu and dd) is zeroed, not renormalized, so it is never drawn
-        probs[probs <= qcore.ZERO_PROB] = 0.0
+        # on uu and dd) is snapped to 0, so it is never drawn
+        probs = qcore.snap([joint_value_probabilities(x, y) for _, x, y in pairs])
         cum = _kernels.cumulative(probs)
         counts = _kernels.categorical_counts(cum, config.master_seed, n)
         signs = np.array([1.0, -1.0, -1.0, 1.0])  # uu, ud, du, dd
@@ -297,7 +293,7 @@ def run_toolate(config: ExperimentConfig, records: BinaryIO | None = None) -> Es
     if config.protocol != "toolate":
         raise ValueError("run_toolate needs protocol toolate")
     trine = config.trine()
-    degs = [f"{d:g}" for d in (degrees_of(t) for t in trine.orientations)]
+    degs = [degree_text(t) for t in trine.orientations]
     tree = stage_conditionals(trine)
     p_values, cond, marg_a, marg_b = _exact_protocol_tables(tree)
 

@@ -115,16 +115,21 @@ def degrees_of(theta: float) -> float:
     return round(math.degrees(theta), 9) + 0.0
 
 
+def degree_text(theta: float) -> str:
+    """``degrees_of(theta)`` as a label: its shortest round-tripping
+    ``repr`` without a trailing ".0", so two orientations that differ
+    get different labels however many digits they need (100.0001,
+    120, 1e-06)."""
+    text = repr(degrees_of(theta))
+    return text[:-2] if text.endswith(".0") else text
+
+
 class ExitLabel(NamedTuple):
     theta: float
     value: SpinValue
 
-    @property
-    def degrees(self) -> float:
-        return degrees_of(self.theta)
-
     def text(self, trine: Trine) -> str:
-        return f"p{trine.port_of(self.theta) + 1}@{self.degrees:g}deg:{self.value.label}"
+        return f"p{trine.port_of(self.theta) + 1}@{degree_text(self.theta)}deg:{self.value.label}"
 
 
 def exit_labels(trine: Trine) -> list[ExitLabel]:
@@ -309,12 +314,6 @@ def composed_distribution(state: JointState, order: Sequence[str]) -> np.ndarray
     return table
 
 
-def _snap(probs) -> np.ndarray:
-    out = np.where(np.asarray(probs) <= qcore.ZERO_PROB, 0.0, probs)
-    total = out.sum()
-    return out / total
-
-
 @dataclass(frozen=True)
 class StageConditionals:
     """Exact stage-by-stage outcome probabilities for the value-first run.
@@ -324,11 +323,10 @@ class StageConditionals:
     against these tables, which reproduces sequential measurement
     draw for draw.  The orientation stages are indexed by rank, an
     orientation's place in ascending order; given the drawn value v,
-    rank r is exit 2*r + v.  Entries at or below 1e-12 are snapped to
-    zero so impossible exits are never sampled.
+    rank r is exit 2*r + v.  Each row is made drawable by
+    ``qcore.snap``, so impossible exits are never sampled.
     """
 
-    trine: Trine
     p_value_a: np.ndarray          # (2,)
     p_value_b: np.ndarray          # (2, 2)    [vA, vB]
     p_orient_a: np.ndarray         # (2, 2, 3) [vA, vB, rA]
@@ -366,14 +364,14 @@ def stage_conditionals(trine: Trine) -> StageConditionals:
             p_value_b[va, vb] = prob_b
             # rank r of value va is exit 2*r + va
             probs_a, rows_a = qcore.projections(exits_a.stack[va::2], state_b)
-            p_orient_a[va, vb] = _snap(probs_a)
+            p_orient_a[va, vb] = qcore.snap(probs_a)
             for ra in range(PATH_DIM):
                 if p_orient_a[va, vb, ra] > 0.0:
                     state_ra = rows_a[ra] / np.sqrt(probs_a[ra])
                     probs_b, _ = qcore.projections(exits_b.stack[vb::2], state_ra)
-                    p_orient_b[va, vb, ra] = _snap(probs_b)
-        p_value_b[va] = _snap(p_value_b[va])
-    return StageConditionals(trine, _snap(p_value_a), p_value_b, p_orient_a, p_orient_b)
+                    p_orient_b[va, vb, ra] = qcore.snap(probs_b)
+        p_value_b[va] = qcore.snap(p_value_b[va])
+    return StageConditionals(qcore.snap(p_value_a), p_value_b, p_orient_a, p_orient_b)
 
 
 @dataclass(frozen=True)

@@ -121,12 +121,8 @@ def project(proj, state) -> tuple[float, np.ndarray]:
 
 def validate_partition(partition, dim: int) -> list[np.ndarray]:
     """The members of a complete orthogonal projector family on ``dim``
-    dimensions, or InvalidPartition.  A ``ProjectorFamily`` was checked
-    when it was built, so only its dimension is checked here."""
-    if isinstance(partition, ProjectorFamily):
-        if partition.dim != dim:
-            raise InvalidPartition(f"family of dim {partition.dim} used on dim {dim}")
-        return list(partition)
+    dimensions, or InvalidPartition.  Every member is checked in full;
+    this is the check a ``ProjectorFamily`` is built by."""
     ops = [np.asarray(p, dtype=complex) for p in partition]
     if not ops:
         raise InvalidPartition("empty partition")
@@ -165,7 +161,7 @@ class ProjectorFamily(tuple):
     operators are copied once into ``stack``, a read-only (k, d, d)
     array, and each member is a read-only view of its slice, so the
     members stay what was checked: ``is_projector`` trusts them, and
-    ``validate_partition`` checks only the dimension.  ``projections``
+    ``sample`` draws from them with no further check.  ``projections``
     takes ``stack``, or a slice of it, to weigh every member at once.
     ``embed`` puts a checked family on a larger space without checking
     it again.
@@ -233,27 +229,34 @@ def kron_identity(ops, left: int, right: int) -> np.ndarray:
     return out
 
 
-def sample(state, partition, rng: TrialRng) -> tuple[int, np.ndarray]:
-    """Draw one outcome from a complete orthogonal projector family.
+def snap(weights) -> np.ndarray:
+    """Born weights made drawable: entries at or below 1e-12 are set to
+    0, as analytic zeros whose rounding dust must never be drawn, and
+    each row along the last axis is divided by its sum."""
+    out = np.array(weights, dtype=float)
+    out[out <= ZERO_PROB] = 0.0
+    return out / out.sum(axis=-1, keepdims=True)
 
-    One uniform is consumed per call: outcome = first index whose
-    cumulative Born weight exceeds the draw.  Weights at or below 1e-12
-    are snapped to zero first, and every cumulative entry from the last
-    positive weight onward is pinned to 1 by ``_kernels.cumulative``, as
-    in the batch sampler, so analytically impossible outcomes are never
-    produced.  Weights and collapsed states come from one
-    ``projections`` product over the family's stack; the drawn row is
-    divided by the square root of its weight, not projected again.
+
+def sample(state, family: ProjectorFamily, rng: TrialRng) -> tuple[int, np.ndarray]:
+    """Draw one outcome from a ``ProjectorFamily`` on the state's space,
+    which was checked when it was built; anything else raises
+    InvalidPartition.  One uniform is consumed per call: outcome = first
+    index whose cumulative weight exceeds the draw.  The weights are
+    made drawable by ``snap``, and ``_kernels.cumulative`` pins every
+    entry from the last positive weight on to 1, as in the batch
+    sampler, so analytically impossible outcomes are never produced.
+    The drawn row of one ``projections`` product over the family's stack
+    is divided by the square root of its weight, not projected again.
     """
     arr = require_normalized(state)
-    ops = validate_partition(partition, arr.size)
-    stack = partition.stack if isinstance(partition, ProjectorFamily) else np.array(ops)
-    probs, rows = projections(stack, arr)
-    probs[probs <= ZERO_PROB] = 0.0
+    if not isinstance(family, ProjectorFamily) or family.dim != arr.size:
+        raise InvalidPartition(f"sample needs a ProjectorFamily on dim {arr.size}")
+    probs, rows = projections(family.stack, arr)
     total = probs.sum()
     if abs(total - 1.0) > ATOL:
         raise InvalidPartition(f"probabilities sum to {total}, expected 1")
-    cum = _kernels.cumulative(probs / total)
+    cum = _kernels.cumulative(snap(probs))
     u = rng.uniform()
     index = int(np.searchsorted(cum, u, side="right"))
     post = rows[index] / np.sqrt(probs[index])

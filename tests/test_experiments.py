@@ -106,6 +106,13 @@ class TestRunEpr:
         assert row[0] == 0.0
         assert np.all(row[2:] == 1.0)
 
+    def test_settings_that_differ_past_six_digits_get_distinct_labels(self):
+        config = ExperimentConfig(protocol="epr_standard", angles=(100.0001, 100.0002, 45, 135))
+        labels = [r.label for r in run_epr(config).rows if r.label.startswith("E(")]
+        assert labels == [
+            "E(100.0001,45)", "E(100.0001,135)", "E(100.0002,45)", "E(100.0002,135)"
+        ]
+
     def test_csv_text_shape(self):
         config = ExperimentConfig(protocol="epr_standard", trials=0)
         text = run_epr(config).to_csv_text(metadata(config))
@@ -129,6 +136,13 @@ class TestRunToolate:
         assert abs(by_label["P(oA=0,oB=120|vA=up,vB=up)"].exact - 1 / 6) < 1e-12
         assert abs(by_label["P(oA=120)"].exact - 1 / 3) < 1e-12
         assert abs(by_label["P(oB=240)"].exact - 1 / 3) < 1e-12
+
+    def test_orientations_that_differ_past_six_digits_get_distinct_labels(self):
+        config = ExperimentConfig(protocol="toolate", angles=(100.0001, 100.0002, 200), trials=0)
+        labels = [r.label for r in run_toolate(config).rows]
+        assert len(labels) == 46 and len(set(labels)) == 46
+        assert "P(oA=100.0001,oB=100.0002|vA=up,vB=up)" in labels
+        assert labels[-3:] == ["P(oB=100.0001)", "P(oB=100.0002)", "P(oB=200)"]
 
     def test_monte_carlo_consistency(self):
         table = run_toolate(ExperimentConfig(protocol="toolate", trials=50000, master_seed=21))

@@ -168,7 +168,7 @@ def test_collapse_sampler_pins_the_last_possible_outcome():
             return float(np.nextafter(1.0, 0.0))
 
     t = 7 * math.pi / 50
-    basis = [np.diag(np.eye(3)[i]).astype(complex) for i in range(3)]
+    basis = qcore.ProjectorFamily([np.diag(np.eye(3)[i]).astype(complex) for i in range(3)])
     index, post = qcore.sample(np.array([math.cos(t), math.sin(t), 0.0]), basis, Top())
     assert index == 1
     assert np.array_equal(post, basis[1][:, 1])

@@ -15,6 +15,7 @@ from toolate.protocol import (
     OutcomeRecord,
     Trine,
     composed_distribution,
+    degree_text,
     degrees_of,
     exit_basis,
     exit_labels,
@@ -254,6 +255,14 @@ class TestRecords:
     def test_degrees_are_rounded_clean(self):
         assert degrees_of(2 * math.pi / 3) == 120.0
         assert degrees_of(4 * math.pi / 3) == 240.0
+
+    @pytest.mark.parametrize(
+        "degrees, text",
+        [(120, "120"), (-0.0, "0"), (33.3, "33.3"), (100.0001, "100.0001"), (1e-6, "1e-06"),
+         (1e6, "1000000"), (90.0000005, "90.0000005")],
+    )
+    def test_degree_text_keeps_every_digit_that_tells_angles_apart(self, degrees, text):
+        assert degree_text(math.radians(degrees)) == text
 
 
 class TestStageConditionals:

@@ -73,7 +73,7 @@ class TestProject:
 
 class TestSample:
     def partition(self):
-        return [np.outer(E0, E0), np.outer(E1, E1)]
+        return qcore.ProjectorFamily([np.outer(E0, E0), np.outer(E1, E1)])
 
     def test_definite_state_always_same_outcome(self):
         rng = TrialRng(99)
@@ -90,7 +90,7 @@ class TestSample:
 
     def test_frequencies_match_born_weights(self):
         up, down = spin_eigenstates(2.0)
-        partition = [np.outer(up, up.conj()), np.outer(down, down.conj())]
+        partition = qcore.ProjectorFamily([np.outer(up, up.conj()), np.outer(down, down.conj())])
         state = np.array([0.8, 0.6], dtype=complex)
         exact = [qcore.projection_probability(p, state) for p in partition]
         counts = [0, 0]
@@ -103,11 +103,8 @@ class TestSample:
     def test_incomplete_partition_rejected(self):
         with pytest.raises(qcore.InvalidPartition):
             qcore.sample(E0, [np.outer(E0, E0)], TrialRng(0))
-
-    def test_non_orthogonal_partition_rejected(self):
-        fuzzy = np.outer(PLUS, PLUS.conj())
         with pytest.raises(qcore.InvalidPartition):
-            qcore.sample(E0, [fuzzy, np.eye(2) - fuzzy + 1e-3 * np.outer(E0, E0)], TrialRng(0))
+            qcore.sample(E0, qcore.ProjectorFamily([np.outer(E0, E0)]), TrialRng(0))
 
     def test_complete_partition_weights_sum_to_one(self, rand, trine):
         from toolate.protocol import PARTICLE_A, exit_labels, exit_projector
@@ -117,6 +114,47 @@ class TestSample:
             state = random_state(rand, 36)
             total = sum(qcore.projection_probability(p, state) for p in partition)
             assert abs(total - 1.0) < 1e-10
+
+
+def snap_row(weights):
+    """The zero snap of one row, written out: entries at or below 1e-12
+    become 0, then the row is divided by its sum."""
+    out = np.where(np.asarray(weights) <= qcore.ZERO_PROB, 0.0, weights)
+    return out / out.sum()
+
+
+SNAP_ROWS = [
+    [1e-33, 0.5, 0.5],
+    [0.3, 1e-13, 0.7 - 1e-13],
+    [2.0, 1e-13, 6.0],
+    [1e-12, 0.25, 0.5],
+    [1 / 3, 1e-33, 1e-13, 2 / 3],
+]
+
+
+class TestSnap:
+    @pytest.mark.parametrize("row", SNAP_ROWS)
+    def test_one_row_matches_the_written_out_snap(self, row):
+        got = qcore.snap(row)
+        assert np.array_equal(got, snap_row(row)) and got[np.asarray(row) <= 1e-12].max() == 0.0
+
+    @pytest.mark.parametrize("degrees, count", [((0, 0.0001, 0.0002), 11), ((0, 120, 240), 19)])
+    def test_stage_rows_match_the_written_out_snap(self, degrees, count, monkeypatch):
+        rows = []
+        real = qcore.snap
+        monkeypatch.setattr(qcore, "snap", lambda w: rows.append(np.array(w)) or real(w))
+        stage_conditionals(Trine.from_degrees(degrees))
+        assert len(rows) == count  # one per value row and per possible rank row
+        # some rows hold rounding dust or do not sum to 1, so the snap changes them
+        assert any(not np.array_equal(real(row), row) for row in rows)
+        for row in rows:
+            assert np.array_equal(real(row), snap_row(row))
+
+    def test_each_row_of_a_table_is_snapped_alone(self):
+        table = np.array([row[:3] for row in SNAP_ROWS])
+        want = np.array([snap_row(row) for row in table])
+        assert np.array_equal(qcore.snap(table), want)
+        assert np.array_equal(qcore.snap(table.reshape(5, 1, 3)), want.reshape(5, 1, 3))
 
 
 class TestProjectorFamily:
@@ -139,11 +177,21 @@ class TestProjectorFamily:
             [np.array([[0, 1], [0, 0]]), np.eye(2)],  # not a projector
             [np.outer(E0, E0)],  # does not sum to the identity
             [np.outer(E0, E0), np.outer(PLUS, PLUS), np.eye(2) - np.outer(PLUS, PLUS)],
+            # a projector and a perturbed complement of it
+            [np.outer(PLUS, PLUS), np.eye(2) - np.outer(PLUS, PLUS) + 1e-3 * np.outer(E0, E0)],
             [np.outer(E0, E0), np.eye(3)],  # wrong shape
             [np.ones((2, 3))],  # not square
             [],
         ],
-        ids=["not-projector", "incomplete", "non-orthogonal", "mixed-shape", "non-square", "empty"],
+        ids=[
+            "not-projector",
+            "incomplete",
+            "non-orthogonal",
+            "perturbed-complement",
+            "mixed-shape",
+            "non-square",
+            "empty",
+        ],
     )
     def test_bad_family_rejected_at_construction(self, partition):
         with pytest.raises(qcore.InvalidPartition):
@@ -153,13 +201,25 @@ class TestProjectorFamily:
         with pytest.raises(qcore.InvalidPartition):
             qcore.sample(np.array([1, 0, 0], dtype=complex), self.family(), TrialRng(0))
 
-    def test_sample_from_family_matches_raw_partition(self, rand):
-        state = random_state(rand, 2)
-        raw = [np.outer(E0, E0), np.outer(E1, E1)]
-        for i in range(20):
-            got = qcore.sample(state, self.family(), TrialRng.for_trial(3, i))
-            want = qcore.sample(state, raw, TrialRng.for_trial(3, i))
-            assert got[0] == want[0] and np.array_equal(got[1], want[1])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda family: [np.outer(E0, E0), np.outer(E1, E1)],
+            lambda family: tuple(family),
+            lambda family: family.stack,
+        ],
+        ids=["raw-list", "tuple-of-members", "stack"],
+    )
+    def test_sample_takes_only_a_family(self, make, monkeypatch):
+        full = []
+        real = qcore.validate_partition
+        monkeypatch.setattr(qcore, "validate_partition", lambda *a: full.append(1) or real(*a))
+        family = self.family()
+        full.clear()
+        with pytest.raises(qcore.InvalidPartition):
+            qcore.sample(PLUS, make(family), TrialRng(0))
+        qcore.sample(PLUS, family, TrialRng(0))
+        assert not full  # a family is not checked again on a draw
 
     def test_views_copies_and_results_are_not_trusted(self, monkeypatch):
         member = self.family()[0]
@@ -181,10 +241,6 @@ class TestProjectorFamily:
         for _ in range(3):
             qcore.project(proj, PLUS)
         assert len(full) == 3 * 2  # Hermitian and idempotent, each call
-        full.clear()
-        for i in range(3):
-            qcore.sample(PLUS, [np.outer(E0, E0), np.outer(E1, E1)], TrialRng(i))
-        assert len(full) == 3 * (2 * 2 + 1)  # both members and their sum, each call
         bad = np.array([[0, 1], [0, 0]], dtype=complex)
         for _ in range(2):
             with pytest.raises(ValueError):
