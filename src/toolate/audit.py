@@ -35,7 +35,6 @@ from .protocol import (
     exit_labels,
     exit_vector,
     joint_exit_basis,
-    prepare_joint,
 )
 from .spinlab import SpinValue
 
@@ -113,14 +112,13 @@ def oracle_conditional_state(
 ) -> tuple[JointState, float]:
     """Ground-truth pair state after both value measurements.
 
-    Projects the prepared pair of ``trine`` with the two value
+    Projects the prepared pair ``trine.pair`` with the two value
     projectors of ``trine.families`` and renormalizes; also returns the
     joint probability of that value pair.  Derived entirely from first
     principles.
     """
-    start = prepare_joint(trine)
     (values_a, _), (values_b, _) = trine.families
-    prob_a, state = qcore.project(values_a[value_a], start.vec)
+    prob_a, state = qcore.project(values_a[value_a], trine.pair)
     prob_b, state = qcore.project(values_b[value_b], state)
     return JointState(state, trine), prob_a * prob_b
 
@@ -173,7 +171,7 @@ def verify_states(trine: Trine) -> VerificationReport:
     joint, joint_norm = literal_joint_state(trine)
 
     cond_upup, _ = oracle_conditional_state(SpinValue.UP, SpinValue.UP, trine)
-    pre_value = prepare_joint(trine)
+    pre_value = JointState(trine.pair, trine)
 
     equations = [
         {

@@ -36,13 +36,13 @@ from .lhv import ConspiracyModel, conspiracy_predictions, enumerate_chsh_max
 from .protocol import (
     PARTICLE_DIM,
     STAGE_ORDERS,
+    JointState,
     StageConditionals,
     Trine,
     composed_distribution,
     degree_text,
     degrees_of,
     joint_distribution,
-    prepare_joint,
     stage_conditionals,
 )
 from .spinlab import (
@@ -295,13 +295,14 @@ def run_toolate(config: ExperimentConfig, records: BinaryIO | None = None) -> Es
     trine = config.trine()
     degs = [degree_text(t) for t in trine.orientations]
     tree = stage_conditionals(trine)
+    tails = None if records is None else record_tails(trine)
+    del trine  # and its families: the sampling loop needs none of them
     p_values, cond, marg_a, marg_b = _exact_protocol_tables(tree)
 
     n = config.trials
     if records is not None:
         meta = json.dumps({"meta": metadata(config)}, sort_keys=True, separators=(",", ":"))
         records.write(meta.encode() + b"\n")
-        tails = record_tails(trine)
     counts = np.zeros(36, dtype=np.int64)
     for start, seeds, cell in _outcome_chunks(tree, n, config.master_seed):
         counts += np.bincount(cell, minlength=36)
@@ -376,7 +377,7 @@ def _source_model_verdicts(
     quantum recombination ports.  Maps each model name to (max abs
     exit-table difference from quantum, predicted ports, TV distance,
     verdict)."""
-    quantum_table = joint_distribution(prepare_joint(trine))
+    quantum_table = joint_distribution(JointState(trine.pair, trine))
     verdicts = {}
     for name, model in (
         ("uniform", ConspiracyModel.uniform()),
@@ -534,7 +535,7 @@ def run_verify(config: ExperimentConfig) -> tuple[dict[str, Any], bool]:
                 and np.max(np.abs(marg_b - 1.0 / 3.0)) <= 1e-12),
            "each orientation is seen with probability 1/3")
 
-    start = prepare_joint(trine)
+    start = JointState(trine.pair, trine)
     one_shot = joint_distribution(start)
     worst = max(
         float(np.max(np.abs(composed_distribution(start, order) - one_shot)))

@@ -24,7 +24,6 @@ from .protocol import (
     SPIN_DIM,
     JointState,
     Trine,
-    prepare_joint,
     three_port_splitter,
     uniform_paths,
 )
@@ -140,7 +139,7 @@ def swap_report(trine: Trine) -> dict[str, Any]:
             }
         )
 
-    add_row("prepared_pair", prepare_joint(trine))
+    add_row("prepared_pair", JointState(trine.pair, trine))
     for va in SpinValue:
         for vb in SpinValue:
             state, _ = oracle_conditional_state(va, vb, trine)

@@ -50,7 +50,10 @@ class Trine:
 
     ``angles_by_port[k]`` is the orientation of the magnet behind port
     k.  ``orientations`` lists the same angles sorted ascending; that
-    order is the canonical exit enumeration used by every table.
+    order is the canonical exit enumeration used by every table.  A
+    trine builds its checked measurement families (``families``) and
+    its prepared pair's amplitudes (``pair``) once, on first use, and
+    keeps them.
     """
 
     angles_by_port: tuple[float, float, float]
@@ -106,6 +109,17 @@ class Trine:
             (values.embed(*_identities(p)), exits.embed(*_identities(p)))
             for p in (PARTICLE_A, PARTICLE_B)
         )
+
+    @cached_property
+    def pair(self) -> np.ndarray:
+        """``prepare_joint(self).vec``, built on first use and kept as
+        long as the trine, read-only.  The trine keeps the amplitudes,
+        not the ``JointState``, which refers back to the trine: that
+        reference cycle would keep a trine, families and all, until the
+        cyclic collector ran."""
+        vec = prepare_joint(self).vec
+        vec.flags.writeable = False
+        return vec
 
 
 def degrees_of(theta: float) -> float:
@@ -237,10 +251,14 @@ def measure_orientation(
     state: JointState, particle: int, rng: TrialRng
 ) -> tuple[ExitLabel, JointState]:
     """Complete one particle's measurement by sampling its six exits,
-    the exit family of the state's trine (``Trine.families``)."""
+    the exit family of the state's trine (``Trine.families``).  Only
+    the drawn exit's label is built: exit ``index`` is the orientation
+    of rank ``index // 2`` with value ``index % 2``, as in
+    ``exit_labels``."""
     _, exits = _families(state, particle)
     index, post = qcore.sample(state.vec, exits, rng)
-    return exit_labels(state.trine)[index], JointState(post, state.trine)
+    label = ExitLabel(state.trine.orientations[index // 2], SpinValue(index % 2))
+    return label, JointState(post, state.trine)
 
 
 def joint_exit_basis(trine: Trine) -> np.ndarray:
@@ -335,15 +353,14 @@ class StageConditionals:
 
 def stage_conditionals(trine: Trine) -> StageConditionals:
     """The stage tables of ``trine``, by projecting its prepared pair
-    with ``trine.families``.  The value stages collapse through
-    ``qcore.project``.  Each orientation stage projects only onto the
-    exits of the value drawn before it, ``stack[v::2]``, in one
+    ``trine.pair`` with ``trine.families``.  The value stages collapse
+    through ``qcore.project``.  Each orientation stage projects only onto
+    the exits of the value drawn before it, ``stack[v::2]``, in one
     ``qcore.projections`` product, and A's exit collapses reuse its
     projected rows.  A value pair whose joint weight is at or below
     1e-12 keeps weight 0 and all-zero orientation rows, as an
     orientation of weight 0 does; that includes a B value that
     ``qcore.project`` refuses to collapse onto after A's collapse."""
-    start = prepare_joint(trine)
     (proj_a, exits_a), (proj_b, exits_b) = trine.families
 
     p_value_a = np.zeros(2)
@@ -352,7 +369,7 @@ def stage_conditionals(trine: Trine) -> StageConditionals:
     p_orient_b = np.zeros((2, 2, PATH_DIM, PATH_DIM))
 
     for va in SpinValue:
-        prob_a, state_a = qcore.project(proj_a[va], start.vec)
+        prob_a, state_a = qcore.project(proj_a[va], trine.pair)
         p_value_a[va] = prob_a
         for vb in SpinValue:
             try:
@@ -391,8 +408,15 @@ class OutcomeRecord:
 
 
 def run_trial(trine: Trine, rng: TrialRng, trial: int = 0) -> OutcomeRecord:
-    """One full value-first trial via explicit state collapse (slow path)."""
-    state = prepare_joint(trine)
+    """One full value-first trial via explicit state collapse (slow path).
+
+    The independent oracle for the batch sampler: from the trine's kept
+    pair (``Trine.pair``), both values are drawn at t2 with the
+    orientations still superposed, then both exits, one uniform of
+    ``rng`` per stage.  Each draw checks its state once, in
+    ``qcore.sample``, and each collapsed state is checked as a
+    ``JointState``."""
+    state = JointState(trine.pair, trine)
     value_a, state = measure_value(state, PARTICLE_A, rng)
     value_b, state = measure_value(state, PARTICLE_B, rng)
     exit_a, state = measure_orientation(state, PARTICLE_A, rng)

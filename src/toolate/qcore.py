@@ -78,15 +78,16 @@ def is_projector(op) -> bool:
     return within_atol(p, dagger(p)) and within_atol(p @ p, p)
 
 
-def _born_weight(arr: np.ndarray, projected: np.ndarray) -> float:
-    val = float(np.real(np.vdot(arr, projected)))
-    # clip rounding dust outside [0, 1]
-    return min(max(val, 0.0), 1.0)
+def _born_weights(arr: np.ndarray, rows) -> np.ndarray:
+    """Re <arr|row> for each projected row, one ``np.vdot`` per row: a
+    batched product (``rows @ arr.conj()``, ``einsum``) rounds
+    differently.  One clip then removes rounding dust outside [0, 1]."""
+    return np.clip([np.vdot(arr, row).real for row in rows], 0.0, 1.0)
 
 
 def projection_probability(proj, state) -> float:
     arr = as_state(state)
-    return _born_weight(arr, np.asarray(proj, dtype=complex) @ arr)
+    return float(_born_weights(arr, [np.asarray(proj, dtype=complex) @ arr])[0])
 
 
 def projections(stack, state) -> tuple[np.ndarray, np.ndarray]:
@@ -95,11 +96,17 @@ def projections(stack, state) -> tuple[np.ndarray, np.ndarray]:
     ``stack`` is a (k, d, d) array, such as a family's ``stack`` or a
     slice of it.  One product gives all k projected vectors as rows,
     ``stack @ state``; weight i equals ``projection_probability`` of
-    member i bit for bit.  The state is checked once, not per member.
+    member i bit for bit.  The state is checked once, by ``as_state``,
+    not per member; ``sample``, which has checked it already, calls
+    ``_projections`` directly.
     """
-    arr = as_state(state)
-    rows = np.asarray(stack, dtype=complex) @ arr
-    return np.array([_born_weight(arr, row) for row in rows]), rows
+    return _projections(np.asarray(stack, dtype=complex), as_state(state))
+
+
+def _projections(stack: np.ndarray, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # for a complex stack and a state that as_state has returned
+    rows = stack @ arr
+    return _born_weights(arr, rows), rows
 
 
 def project(proj, state) -> tuple[float, np.ndarray]:
@@ -248,11 +255,13 @@ def sample(state, family: ProjectorFamily, rng: TrialRng) -> tuple[int, np.ndarr
     sampler, so analytically impossible outcomes are never produced.
     The drawn row of one ``projections`` product over the family's stack
     is divided by the square root of its weight, not projected again.
+    The state is checked once per draw, by ``require_normalized``; the
+    product then takes the checked array as it is.
     """
     arr = require_normalized(state)
     if not isinstance(family, ProjectorFamily) or family.dim != arr.size:
         raise InvalidPartition(f"sample needs a ProjectorFamily on dim {arr.size}")
-    probs, rows = projections(family.stack, arr)
+    probs, rows = _projections(family.stack, arr)
     total = probs.sum()
     if abs(total - 1.0) > ATOL:
         raise InvalidPartition(f"probabilities sum to {total}, expected 1")

@@ -1,6 +1,8 @@
+import gc
 import io
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from toolate.experiments import (
     run_verify,
     sample_protocol,
 )
-from toolate import _kernels
+from toolate import _kernels, experiments
 from toolate._kernels import _Stream, trial_seeds
 from toolate.protocol import degrees_of
 from toolate.rng import trial_seed
@@ -155,6 +157,33 @@ class TestRunToolate:
         for deg in ("0", "120", "240"):
             row = by_label[f"P(oA={deg},oB={deg}|vA=up,vB=up)"]
             assert row.estimate == 0.0
+
+    @pytest.mark.parametrize("records", [None, "stream"])
+    def test_trine_is_let_go_before_the_first_chunk(self, records, monkeypatch):
+        """The sampling loop holds no trine, so none of its families: the
+        trine is freed by its reference count, the cyclic collector off."""
+        trines, alive = [], []
+        real_trine, real_chunks = ExperimentConfig.trine, experiments._outcome_chunks
+
+        def trine(config):
+            built = real_trine(config)
+            trines.append(weakref.ref(built))
+            return built
+
+        def chunks(*args):
+            for chunk in real_chunks(*args):
+                alive.append(trines[0]() is not None)
+                yield chunk
+
+        monkeypatch.setattr(ExperimentConfig, "trine", trine)
+        monkeypatch.setattr(experiments, "_outcome_chunks", chunks)
+        config = ExperimentConfig("toolate", trials=2 * _kernels.CHUNK + 1, master_seed=5)
+        gc.disable()
+        try:
+            run_toolate(config, None if records is None else io.BytesIO())
+        finally:
+            gc.enable()
+        assert len(trines) == 1 and alive == [False] * 3
 
     def test_records_text_fields(self, trine):
         config = ExperimentConfig(protocol="toolate", trials=5, master_seed=1)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -130,6 +132,32 @@ class TestPrepareJoint:
         psi = singlet()
         np.testing.assert_allclose(rho_spin, np.outer(psi, psi.conj()), atol=1e-12)
 
+    @pytest.mark.parametrize("degrees, perm", [((0, 120, 240), (0, 1, 2)), ((0, 90, 200), (1, 2, 0))])
+    def test_trine_keeps_its_prepared_pair_read_only(self, degrees, perm):
+        trine = Trine.from_degrees(degrees).permuted(perm)
+        pair = trine.pair
+        assert pair.tobytes() == prepare_joint(trine).vec.tobytes()
+        assert trine.pair is pair  # built once, then kept
+        with pytest.raises(ValueError):
+            pair[0] = 0.0
+        state = JointState(pair, trine)
+        assert np.shares_memory(state.vec, pair) and not state.vec.flags.writeable
+        assert trine == Trine.from_degrees(degrees).permuted(perm)  # equality sees angles only
+
+    def test_kept_pair_makes_no_reference_cycle(self):
+        """A trine that ran a trial, and so keeps its pair and families, is
+        freed by its reference count alone."""
+        trine = Trine.from_degrees((0, 90, 200))
+        run_trial(trine, TrialRng.for_trial(1, 0))
+        assert "pair" in vars(trine) and "families" in vars(trine)
+        freed = weakref.ref(trine)
+        gc.disable()
+        try:
+            del trine
+            assert freed() is None
+        finally:
+            gc.enable()
+
 
 class TestValueProjectors:
     def test_complete_and_orthogonal(self, trine):
@@ -182,6 +210,18 @@ class TestMeasurement:
         np.testing.assert_allclose(np.diag(cond), np.zeros(3), atol=1e-14)
         off = cond[~np.eye(3, dtype=bool)]
         np.testing.assert_allclose(off, np.full(6, 1 / 6), atol=1e-12)
+
+    @pytest.mark.parametrize("degrees", [(0, 120, 240), (0, 90, 200), (33.3, 100, 271.5)])
+    @pytest.mark.parametrize("perm", [(0, 1, 2), (2, 0, 1), (1, 0, 2)])
+    def test_measure_orientation_labels_every_exit_as_exit_labels(self, degrees, perm, monkeypatch):
+        trine = Trine.from_degrees(degrees).permuted(perm)
+        state = JointState(trine.pair, trine)
+        labels = exit_labels(trine)
+        for particle in (PARTICLE_A, PARTICLE_B):
+            for index in range(6):
+                monkeypatch.setattr(qcore, "sample", lambda vec, family, rng: (index, vec))
+                label, _ = measure_orientation(state, particle, TrialRng(0))
+                assert label == labels[index] and type(label.value) is SpinValue
 
     def test_measure_orientation_respects_prior_value(self, trine):
         state = prepare_joint(trine)

@@ -13,6 +13,7 @@ from toolate.protocol import (
     PARTICLE_A,
     PARTICLE_B,
     STAGE_ORDERS,
+    JointState,
     Trine,
     composed_distribution,
     exit_labels,
@@ -276,6 +277,22 @@ class TestProjectorFamily:
         for i in range(25):
             run_trial(trine, TrialRng.for_trial(3, i), i)
         assert len(checked) == 2 + 6  # the first trial's build; the rest reuse it
+
+    def test_one_draw_checks_its_state_once(self, trine, monkeypatch):
+        state = JointState(trine.pair, trine)
+        values, exits = trine.families[PARTICLE_A]
+        checks = []
+        real = qcore.as_state
+        monkeypatch.setattr(qcore, "as_state", lambda vec: checks.append(1) or real(vec))
+        for family in (values, exits):
+            checks.clear()
+            qcore.sample(state.vec, family, TrialRng.for_trial(3, 0))
+            assert len(checks) == 1
+        checks.clear()
+        run_trial(trine, TrialRng.for_trial(3, 1), 1)
+        # the JointState over the kept pair, then each of the four draws
+        # and each collapsed JointState
+        assert len(checks) == 1 + 4 * 2
 
     def test_built_families_leave_equality_and_hash_alone(self, trine):
         fresh = Trine.default()
