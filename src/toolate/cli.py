@@ -62,36 +62,32 @@ def _number_list(kind):
 
 
 def build_parser(command: str | None = None) -> _Parser:
-    """The CLI parser.  Every subcommand is listed, but only the one
-    that ``command`` names gets its arguments, since parsing reaches no
-    other; with no command, or an unknown one, parsing reaches none.
-    Help, usage and errors are the same either way."""
+    """The CLI parser.  When ``command`` names a subcommand, only it is
+    registered, with its arguments, since parsing reaches no other.
+    Otherwise all six are, without arguments, for top-level help and the
+    invalid-choice error.  Help, usage and errors are the same bytes."""
     # flag destinations are the config-file keys, so set flags and the
     # file merge into one dict for ExperimentConfig.from_dict
     parser = _Parser(prog="toolate", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, (_, desc) in _COMMANDS.items():
-        p = sub.add_parser(name, help=desc, description=desc)
-        if name != command:
-            continue
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument(
-            "--angles",
-            type=_number_list(float),
-            help="comma-separated degrees: four settings (a,a',b,b') for epr/lhv, "
-            "three orientations for the rest (default 0,120,240 or 0,90,45,135)",
-        )
-        p.add_argument("--trials", type=int, help="Monte Carlo trials; 0 = exact only")
-        p.add_argument("--seed", dest="master_seed", metavar="SEED", type=int,
-                       help="master seed for all stochastic output")
-        p.add_argument("--out", dest="output_path", metavar="OUT",
-                       help="output file (CSV for epr/toolate, JSON otherwise)")
-        p.add_argument(
-            "--port-binding",
-            type=_number_list(int),
-            help="permutation of 0,1,2 assigning orientations to ports, e.g. 2,0,1",
-        )
-        p.add_argument("--threshold", type=float, help="interference TV threshold")
+    if command not in _COMMANDS:
+        for name, (_, desc) in _COMMANDS.items():
+            sub.add_parser(name, help=desc, description=desc)
+        return parser
+    desc = _COMMANDS[command][1]
+    p = sub.add_parser(command, help=desc, description=desc)
+    p.add_argument("--config", help="JSON config file; flags override it")
+    p.add_argument("--angles", type=_number_list(float),
+                   help="comma-separated degrees: four settings (a,a',b,b') for epr/lhv, "
+                   "three orientations for the rest (default 0,120,240 or 0,90,45,135)")
+    p.add_argument("--trials", type=int, help="Monte Carlo trials; 0 = exact only")
+    p.add_argument("--seed", dest="master_seed", metavar="SEED", type=int,
+                   help="master seed for all stochastic output")
+    p.add_argument("--out", dest="output_path", metavar="OUT",
+                   help="output file (CSV for epr/toolate, JSON otherwise)")
+    p.add_argument("--port-binding", type=_number_list(int),
+                   help="permutation of 0,1,2 assigning orientations to ports, e.g. 2,0,1")
+    p.add_argument("--threshold", type=float, help="interference TV threshold")
     return parser
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -50,10 +50,10 @@ class Trine:
 
     ``angles_by_port[k]`` is the orientation of the magnet behind port
     k.  ``orientations`` lists the same angles sorted ascending; that
-    order is the canonical exit enumeration used by every table.  A
-    trine builds its checked measurement families (``families``) and
-    its prepared pair's amplitudes (``pair``) once, on first use, and
-    keeps them.
+    order is the canonical exit enumeration used by every table.  A trine
+    builds its exit bases (``basis``, ``joint_basis``), checked families
+    (``families``) and prepared pair (``pair``) once, on first use, and
+    keeps them; equality and hashing see only ``angles_by_port``.
     """
 
     angles_by_port: tuple[float, float, float]
@@ -90,17 +90,24 @@ class Trine:
         raise ValueError(f"orientation {theta!r} is not in the trine")
 
     @cached_property
+    def basis(self) -> np.ndarray:
+        """The six exit states as columns, in exit order; read-only."""
+        return _read_only(np.column_stack([exit_vector(self, lab) for lab in exit_labels(self)]))
+
+    @cached_property
+    def joint_basis(self) -> np.ndarray:
+        """``np.kron(basis, basis)``: joint exit state 6*eA + eB per column; read-only."""
+        return _read_only(np.kron(self.basis, self.basis))
+
+    @cached_property
     def families(self) -> tuple[tuple[qcore.ProjectorFamily, qcore.ProjectorFamily], ...]:
         """``families[particle]`` is ``(values, exits)`` for particle A
         (0) and B (1): the value family (P_up, P_down) and the six exit
-        projectors in ``exit_labels`` order, on the pair.
-
-        Built from one exit basis on first use and kept as long as the
-        trine; equality and hashing still see only ``angles_by_port``.
-        Each family is checked once, as a 6x6 ``qcore.ProjectorFamily``
-        on one particle, and then embedded for A and for B without a
-        second check: embedding by an identity keeps every property the
-        6x6 check established (see ``ProjectorFamily.embed``)."""
+        projectors in ``exit_labels`` order, on the pair.  Each family is
+        checked once, as a 6x6 ``qcore.ProjectorFamily`` on one particle,
+        and embedded for A and B with no second check: embedding by an
+        identity keeps every property that check established
+        (``ProjectorFamily.embed``)."""
         basis = exit_basis(self)
         values = qcore.ProjectorFamily(_value_blocks(basis))
         # exit e's projector is the outer product of basis column e
@@ -112,14 +119,16 @@ class Trine:
 
     @cached_property
     def pair(self) -> np.ndarray:
-        """``prepare_joint(self).vec``, built on first use and kept as
-        long as the trine, read-only.  The trine keeps the amplitudes,
-        not the ``JointState``, which refers back to the trine: that
-        reference cycle would keep a trine, families and all, until the
-        cyclic collector ran."""
-        vec = prepare_joint(self).vec
-        vec.flags.writeable = False
-        return vec
+        """``prepare_joint(self).vec``, read-only.  The trine keeps the
+        amplitudes, not the ``JointState``, which refers back to the
+        trine: that reference cycle would keep a trine, families and
+        all, until the cyclic collector ran."""
+        return _read_only(prepare_joint(self).vec)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def degrees_of(theta: float) -> float:
@@ -164,11 +173,12 @@ class JointState:
             raise ValueError("joint state must have dim 36")
 
 
+@cache
 def three_port_splitter() -> np.ndarray:
-    """Balanced three-port splitter: DFT entries w**(j*k)/sqrt 3."""
+    """Balanced three-port splitter, DFT entries w**(j*k)/sqrt 3; built once, read-only."""
     w = np.exp(2j * math.pi / PATH_DIM)
     j, k = np.meshgrid(np.arange(PATH_DIM), np.arange(PATH_DIM), indexing="ij")
-    return w ** (j * k) / math.sqrt(PATH_DIM)
+    return _read_only(w ** (j * k) / math.sqrt(PATH_DIM))
 
 
 def uniform_paths() -> np.ndarray:
@@ -185,8 +195,8 @@ def exit_vector(trine: Trine, label: ExitLabel) -> np.ndarray:
 
 
 def exit_basis(trine: Trine) -> np.ndarray:
-    """The six exit states as the columns of one 6x6 basis, in exit order."""
-    return np.column_stack([exit_vector(trine, lab) for lab in exit_labels(trine)])
+    """The trine's kept 6x6 exit basis, ``Trine.basis``: exit states as columns."""
+    return trine.basis
 
 
 def prepare_joint(trine: Trine) -> JointState:
@@ -262,9 +272,8 @@ def measure_orientation(
 
 
 def joint_exit_basis(trine: Trine) -> np.ndarray:
-    """Columns are the 36 joint exit states in canonical (A, B) order."""
-    basis = exit_basis(trine)
-    return np.kron(basis, basis)
+    """The trine's kept 36x36 joint exit basis, ``Trine.joint_basis``."""
+    return trine.joint_basis
 
 
 def exit_amplitudes(state: JointState) -> np.ndarray:
@@ -297,8 +306,9 @@ def composed_distribution(state: JointState, order: Sequence[str]) -> np.ndarray
     ordering-invariance oracle against ``joint_distribution``.  Each
     branch weighs every member of its stage's family in one
     ``qcore.projections`` product, all six exits for an orientation
-    stage, and each child branch collapses by dividing its projected row
-    by the square root of its weight.
+    stage.  A child branch collapses by dividing its projected row by the
+    square root of its weight; a last-stage branch adds its weight to the
+    table and collapses nothing.
     """
     if sorted(order) != ["oA", "oB", "vA", "vB"]:
         raise ValueError("order must contain vA, vB, oA, oB exactly once")
@@ -306,18 +316,14 @@ def composed_distribution(state: JointState, order: Sequence[str]) -> np.ndarray
         raise ValueError("each particle's value stage must precede its orientation stage")
 
     labels = exit_labels(state.trine)
-    partitions = {}  # by stage tag
-    for side, particle in (("A", PARTICLE_A), ("B", PARTICLE_B)):
-        partitions["v" + side], partitions["o" + side] = _families(state, particle)
+    (values_a, exits_a), (values_b, exits_b) = state.trine.families
+    partitions = {"vA": values_a, "oA": exits_a, "vB": values_b, "oB": exits_b}
     table = np.zeros((PARTICLE_DIM, PARTICLE_DIM))
     # depth-first over outcome branches; each (exit_A, exit_B) leaf is
     # reached by exactly one branch, so the visiting order is immaterial
     pending = [(0, state.vec, 1.0, {})]
     while pending:
         stage, vec, weight, outcome = pending.pop()
-        if stage == len(order):
-            table[outcome["oA"], outcome["oB"]] += weight
-            continue
         tag = order[stage]
         probs, rows = qcore.projections(partitions[tag].stack, vec)
         for name, prob in enumerate(probs):
@@ -327,8 +333,11 @@ def composed_distribution(state: JointState, order: Sequence[str]) -> np.ndarray
                 # exits conflicting with the recorded value carry zero
                 # weight; reaching here would mean a broken collapse
                 raise AssertionError("nonzero weight on a value-inconsistent exit")
-            post = rows[name] / np.sqrt(prob)
-            pending.append((stage + 1, post, weight * prob, {**outcome, tag: name}))
+            reached = {**outcome, tag: name}
+            if stage + 1 == len(order):
+                table[reached["oA"], reached["oB"]] += weight * prob
+            else:
+                pending.append((stage + 1, rows[name] / np.sqrt(prob), weight * prob, reached))
     return table
 
 

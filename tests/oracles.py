@@ -6,7 +6,9 @@ correlations come from full projector matrices instead of the package's
 amplitude contraction; the outcome records are serialized with one
 ``json.dumps`` per trial and seeds from the scalar ``rng`` route; the
 batch samplers are the earlier out-of-place stream with whole-row
-gather-and-compare and ``searchsorted`` picks.
+gather-and-compare and ``searchsorted`` picks; the exit bases and the
+splitter are written entry by entry; a projector family is checked
+member by member.
 Expected values frozen into the tests were computed with these routines.
 """
 
@@ -18,6 +20,7 @@ import math
 import numpy as np
 
 from toolate.protocol import degrees_of
+from toolate.qcore import InvalidPartition
 from toolate.rng import GOLDEN, mix64, trial_seed
 
 
@@ -144,6 +147,65 @@ def independent_exit_table(angles_by_port) -> np.ndarray:
                     amp = np.vdot(np.kron(exit_a, exit_b), psi)
                     table[2 * ia + va, 2 * ib + vb] = abs(amp) ** 2
     return table
+
+
+def independent_exit_basis(angles_by_port) -> np.ndarray:
+    """6x6 exit basis, column 2*rank + value, each spin eigenstate
+    written into its port's rows with loops only."""
+    basis = np.zeros((6, 6), dtype=complex)
+    for rank, theta in enumerate(sorted(angles_by_port)):
+        port = list(angles_by_port).index(theta)
+        for value, spin in enumerate((eig_up(theta), eig_down(theta))):
+            basis[2 * port : 2 * port + 2, 2 * rank + value] = spin
+    return basis
+
+
+def independent_joint_exit_basis(angles_by_port) -> np.ndarray:
+    """36x36 joint exit basis, column 6*eA + eB the kron of two exit states."""
+    basis = independent_exit_basis(angles_by_port)
+    joint = np.zeros((36, 36), dtype=complex)
+    for a in range(6):
+        for b in range(6):
+            joint[:, 6 * a + b] = np.kron(basis[:, a], basis[:, b])
+    return joint
+
+
+def independent_splitter() -> np.ndarray:
+    """Three-port DFT splitter, entry by entry: w**(j*k)/sqrt 3."""
+    w = np.exp(2j * math.pi / 3)
+    return np.array([[w ** (j * k) / math.sqrt(3) for k in range(3)] for j in range(3)])
+
+
+# --- the projector family check ---------------------------------------------------
+
+
+def validate_partition_reference(partition, dim: int) -> list[np.ndarray]:
+    """The member-by-member family check: each member's shape, then its
+    Hermitian and idempotent residuals, summed as it goes; then the sum
+    against the identity and each pair's product, at the same 1e-10."""
+    atol = 1e-10
+
+    def close(a, b) -> bool:
+        with np.errstate(invalid="ignore"):
+            return bool(np.all(np.abs(a - b) <= atol))
+
+    ops = [np.asarray(p, dtype=complex) for p in partition]
+    if not ops:
+        raise InvalidPartition("empty partition")
+    total = np.zeros((dim, dim), dtype=complex)
+    for p in ops:
+        if p.shape != (dim, dim):
+            raise InvalidPartition("partition element has wrong shape")
+        if not (close(p, p.conj().T) and close(p @ p, p)):
+            raise InvalidPartition("partition element is not a projector")
+        total += p
+    if not close(total, np.eye(dim)):
+        raise InvalidPartition("partition does not sum to the identity")
+    for i in range(len(ops)):
+        for j in range(i + 1, len(ops)):
+            if np.max(np.abs(ops[i] @ ops[j])) > atol:
+                raise InvalidPartition("partition elements are not orthogonal")
+    return ops
 
 
 # --- the outcome stream ---------------------------------------------------------

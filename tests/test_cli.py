@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -15,7 +16,7 @@ from oracles import records_text_reference
 import toolate
 from toolate import _kernels
 from toolate._kernels import CHUNK
-from toolate.cli import main, records_path
+from toolate.cli import build_parser, main, records_path
 from toolate.experiments import ExperimentConfig, metadata, sample_protocol
 
 
@@ -432,7 +433,29 @@ USAGE_PINNED = {
     "toolate toolate verify":
         (1, EMPTY, "10275fe00b6f30428fa1902ff68782d82b104fd909e9bf06373feb3f617fdda5"),
     "toolate": (1, EMPTY, "4665138502741e97bc666a1a412253bc417ea77ce35fa2eee74a07b0efbf7a9a"),
+    # a subcommand named after a flag, or after another subcommand
+    "toolate --help verify":
+        (0, "7464b5e8417c98448afbc3ed51da3f7c28737f6927e0a36ef407c816f870d107", EMPTY),
+    "toolate -x verify": (1, EMPTY, "63cc16948cdd8071f533d55d453a10d3187fbde511478cb971c7ee4b5d2828fe"),
+    "toolate --seed 1 toolate":
+        (1, EMPTY, "f34f61bcc87aa18db9ecbe307f16916052d62f5e62f76775db85fe8ca336aaba"),
+    "toolate erase toolate": (1, EMPTY, "dc64f53dd665e4d1ec99f7e5b36f14fb274578f6c809788039e067837ea933ee"),
 }
+
+
+def registered(parser) -> list[str]:
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+@pytest.mark.parametrize("command", ["verify", "epr"])
+def test_parser_registers_only_the_named_subcommand(command):
+    assert registered(build_parser(command)) == [command]
+
+
+@pytest.mark.parametrize("command", [None, "nope", "--help"])
+def test_parser_without_a_subcommand_registers_all_six(command):
+    assert registered(build_parser(command)) == ["epr", "toolate", "interfere", "erase", "lhv", "verify"]
 
 
 def test_help_and_usage_errors_match_pinned_hashes(monkeypatch, capsys):

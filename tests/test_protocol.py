@@ -5,8 +5,14 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import independent_exit_table
-from toolate import qcore
+from oracles import (
+    independent_exit_basis,
+    independent_exit_table,
+    independent_joint_exit_basis,
+    independent_splitter,
+)
+from toolate import protocol, qcore
+from toolate.experiments import ExperimentConfig, run_verify
 from toolate.protocol import (
     JOINT_LAYOUT,
     PARTICLE_A,
@@ -30,6 +36,7 @@ from toolate.protocol import (
     run_trial,
     stage_conditionals,
     three_port_splitter,
+    uniform_paths,
     value_projectors,
 )
 from toolate.rng import TrialRng
@@ -77,6 +84,19 @@ class TestSplitter:
         port[0] = 1.0
         np.testing.assert_allclose(u.conj().T @ (u @ port), port, atol=1e-12)
 
+    def test_kept_read_only_and_built_once(self):
+        u = three_port_splitter()
+        assert u.tobytes() == independent_splitter().tobytes()
+        assert three_port_splitter() is u
+        with pytest.raises(ValueError):
+            u[0, 0] = 0.0
+        paths = uniform_paths()
+        assert paths.tobytes() == u[:, 0].tobytes() and np.shares_memory(paths, u)
+        with pytest.raises(ValueError):
+            paths[0] = 0.0
+        # the body runs on the first call in the process, and never again
+        assert three_port_splitter.cache_info().misses == 1
+
 
 class TestExitVectors:
     def test_axis_aligned_exit(self, trine):
@@ -97,6 +117,45 @@ class TestExitVectors:
     def test_unknown_orientation_rejected(self, trine):
         with pytest.raises(ValueError):
             exit_vector(trine, ExitLabel(0.123, SpinValue.UP))
+
+    @pytest.mark.parametrize("degrees", [(0, 120, 240), (0, 90, 200), (33.3, 100, 271.5)])
+    @pytest.mark.parametrize("perm", ALL_PERMS)
+    def test_kept_bases_are_read_only_and_match_the_entrywise_builders(self, degrees, perm):
+        trine = Trine.from_degrees(degrees).permuted(perm)
+        basis, joint = exit_basis(trine), joint_exit_basis(trine)
+        assert basis is trine.basis and joint is trine.joint_basis
+        assert basis.tobytes() == independent_exit_basis(trine.angles_by_port).tobytes()
+        assert joint.tobytes() == independent_joint_exit_basis(trine.angles_by_port).tobytes()
+        for kept in (basis, joint):
+            with pytest.raises(ValueError):
+                kept[0, 0] = 0.0
+        assert trine == Trine.from_degrees(degrees).permuted(perm)  # equality sees angles only
+
+    def test_each_basis_is_built_once_per_trine(self, monkeypatch):
+        built = []
+        real = protocol.exit_vector
+        monkeypatch.setattr(protocol, "exit_vector", lambda t, lab: built.append(t) or real(t, lab))
+        trine = Trine.from_degrees((0, 90, 200))
+        for _ in range(3):
+            exit_basis(trine)
+            joint_exit_basis(trine)
+            value_projectors(trine, PARTICLE_B)
+            stage_conditionals(trine)
+            joint_distribution(JointState(trine.pair, trine))
+        assert len(built) == 6  # one exit state per column, once
+
+    def test_verify_builds_each_trines_basis_once(self, monkeypatch):
+        # the audit's own exit-state route (oracle_value_state) imports
+        # exit_vector by name, so only the bases' calls are counted here
+        built = []
+        real = protocol.exit_vector
+        monkeypatch.setattr(
+            protocol, "exit_vector", lambda t, lab: built.append(t.angles_by_port) or real(t, lab)
+        )
+        run_verify(ExperimentConfig("verify", angles=(0.0, 90.0, 200.0)))
+        counts = {angles: built.count(angles) for angles in built}
+        # the configured trine and its five other port bindings
+        assert len(counts) == 6 and set(counts.values()) == {6}
 
     @pytest.mark.parametrize("degrees", [(0, 120, 240), (0, 90, 200)])
     @pytest.mark.parametrize("perm", ALL_PERMS)
@@ -145,11 +204,13 @@ class TestPrepareJoint:
         assert trine == Trine.from_degrees(degrees).permuted(perm)  # equality sees angles only
 
     def test_kept_pair_makes_no_reference_cycle(self):
-        """A trine that ran a trial, and so keeps its pair and families, is
-        freed by its reference count alone."""
+        """A trine that ran a trial and a joint distribution, and so keeps
+        its pair, families and both exit bases, is freed by its reference
+        count alone."""
         trine = Trine.from_degrees((0, 90, 200))
         run_trial(trine, TrialRng.for_trial(1, 0))
-        assert "pair" in vars(trine) and "families" in vars(trine)
+        joint_distribution(JointState(trine.pair, trine))
+        assert {"pair", "families", "basis", "joint_basis"} <= set(vars(trine))
         freed = weakref.ref(trine)
         gc.disable()
         try:

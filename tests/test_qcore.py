@@ -5,7 +5,7 @@ import pytest
 import scipy.stats
 
 from conftest import random_state
-from oracles import entropy_bits, jacobi_eigvalsh
+from oracles import entropy_bits, jacobi_eigvalsh, validate_partition_reference
 from toolate import protocol, qcore
 from toolate.audit import oracle_conditional_state
 from toolate.protocol import (
@@ -158,6 +158,16 @@ class TestSnap:
         assert np.array_equal(qcore.snap(table.reshape(5, 1, 3)), want.reshape(5, 1, 3))
 
 
+def family_checks(monkeypatch) -> list:
+    """The shape of every partition ``validate_partition`` checks from now on."""
+    checked = []
+    real = qcore.validate_partition
+    monkeypatch.setattr(
+        qcore, "validate_partition", lambda ops, dim: checked.append(np.shape(ops)) or real(ops, dim)
+    )
+    return checked
+
+
 class TestProjectorFamily:
     def family(self):
         return qcore.ProjectorFamily([np.outer(E0, E0), np.outer(E1, E1)])
@@ -248,35 +258,34 @@ class TestProjectorFamily:
                 qcore.project(bad, PLUS)
 
     def test_trine_families_check_each_member_once(self, trine, monkeypatch):
-        checked = []
-        real = qcore.is_projector
-        monkeypatch.setattr(qcore, "is_projector", lambda op: checked.append(op) or real(op))
+        checked, asked = family_checks(monkeypatch), []
+        real_is = qcore.is_projector
+        monkeypatch.setattr(qcore, "is_projector", lambda op: asked.append(op) or real_is(op))
         families = trine.families
-        # the value and exit families of one particle, on its 6x6 blocks;
-        # the four 36x36 families are embeddings of those two
-        assert len(checked) == 2 + 6
-        assert all(type(op) is np.ndarray and op.shape == (6, 6) for op in checked)
+        # one stacked check each for the value and exit families of one
+        # particle, on its 6x6 blocks; the four 36x36 families are
+        # embeddings of those two, checked by none
+        assert checked == [(2, 6, 6), (6, 6, 6)]
+        assert not asked  # the stack is checked whole, not member by member
         members = [m for fams in families for f in fams for m in f]
         assert len(members) == 2 * (2 + 6) and all(m.shape == (36, 36) for m in members)
 
         checked.clear()
         assert trine.families is families  # kept by the trine, not built again
-        assert not checked
         full = []
         real_close = qcore.within_atol
         monkeypatch.setattr(qcore, "within_atol", lambda a, b: full.append(1) or real_close(a, b))
         stage_conditionals(trine)
         composed_distribution(prepare_joint(trine), STAGE_ORDERS[0])
-        assert checked  # project still asks about every projector
-        assert not full  # and nothing is checked again
+        assert asked  # project still asks about every projector
+        assert not checked and not full  # and nothing is checked again
 
     def test_run_trial_checks_its_trine_families_once(self, trine, monkeypatch):
-        checked = []
-        real = qcore.is_projector
-        monkeypatch.setattr(qcore, "is_projector", lambda op: checked.append(op) or real(op))
+        checked = family_checks(monkeypatch)
         for i in range(25):
             run_trial(trine, TrialRng.for_trial(3, i), i)
-        assert len(checked) == 2 + 6  # the first trial's build; the rest reuse it
+        # the first trial's build, one stacked check per 6x6 family; the rest reuse it
+        assert checked == [(2, 6, 6), (6, 6, 6)]
 
     def test_one_draw_checks_its_state_once(self, trine, monkeypatch):
         state = JointState(trine.pair, trine)
@@ -415,6 +424,103 @@ class TestProjections:
                 assert qcore.is_projector(member) and not full
                 assert qcore.is_projector(member[:]) and full
                 full.clear()
+
+
+def tilted_pair(overlap: float) -> list[np.ndarray]:
+    """Two rank-one projectors on a 2-dim space whose states overlap by
+    about ``overlap``.  On axes at pi/8 the product's largest entry is
+    cos(pi/8)**2 of the overlap, and the sum's largest residual only
+    cos(pi/4) of it, so only the orthogonality check can tell."""
+    t = math.pi / 8
+    u1 = np.array([math.cos(t), math.sin(t)], dtype=complex)
+    u2 = np.array([-math.sin(t), math.cos(t)], dtype=complex)
+    tilted = (u2 + overlap * u1) / np.linalg.norm(u2 + overlap * u1)
+    return [np.outer(u1, u1.conj()), np.outer(tilted, tilted.conj())]
+
+
+def with_nan(op: np.ndarray) -> np.ndarray:
+    out = op.astype(complex)
+    out[0, 0] = np.nan
+    return out
+
+
+# one defect each, with the message both checks give for it
+BAD_FAMILIES = {
+    "scaled": ([1.01 * np.outer(E0, E0), 1.01 * np.outer(E1, E1)], "partition element is not a projector"),
+    "non-hermitian": (
+        [np.array([[1, 1], [0, 0]]), np.array([[0, -1], [0, 1]])],  # idempotent, summing to I
+        "partition element is not a projector",
+    ),
+    "non-idempotent": ([np.diag([0.5, 0.0]), np.diag([0.5, 1.0])], "partition element is not a projector"),
+    "incomplete": ([np.outer(E0, E0)], "partition does not sum to the identity"),
+    "non-orthogonal": (tilted_pair(1.3e-10), "partition elements are not orthogonal"),
+    "wrong-shape": ([np.outer(E0, E0), np.eye(3)], "partition element has wrong shape"),
+    "nan-entry": ([with_nan(np.outer(E0, E0)), np.outer(E1, E1)], "partition element is not a projector"),
+    "empty": ([], "empty partition"),
+}
+
+
+def random_family(rand, dim: int, members: int) -> list[np.ndarray]:
+    """Projectors onto ``members`` consecutive runs of the columns of a
+    random unitary: a complete orthogonal family of mixed ranks."""
+    basis, _ = np.linalg.qr(rand.normal(size=(dim, dim)) + 1j * rand.normal(size=(dim, dim)))
+    cuts = np.linspace(0, dim, members + 1).astype(int)
+    return [basis[:, a:b] @ basis[:, a:b].conj().T for a, b in zip(cuts, cuts[1:])]
+
+
+class TestStackedCheck:
+    """``validate_partition``'s one pass over the stack against the
+    member-by-member check it replaced (``oracles.validate_partition_reference``)."""
+
+    @pytest.mark.parametrize("defect", BAD_FAMILIES)
+    def test_each_defect_raises_the_member_checks_message(self, defect):
+        partition, message = BAD_FAMILIES[defect]
+        with pytest.raises(qcore.InvalidPartition) as want:
+            validate_partition_reference(partition, 2)
+        with pytest.raises(qcore.InvalidPartition) as got:
+            qcore.validate_partition(partition, 2)
+        assert str(got.value) == str(want.value) == message
+        with pytest.raises(qcore.InvalidPartition, match=message):
+            qcore.ProjectorFamily(partition)
+
+    def test_the_tilted_pair_passes_below_the_tolerance(self):
+        partition = tilted_pair(1e-11)
+        got = qcore.validate_partition(partition, 2)
+        assert got.tobytes() == np.array(validate_partition_reference(partition, 2)).tobytes()
+
+    @pytest.mark.parametrize("degrees, perm", STACKED_TRINES)
+    def test_good_families_give_the_member_checks_members(self, rand, degrees, perm):
+        trine = Trine.from_degrees(degrees).permuted(perm)
+        families = [[np.array(m) for m in f] for pair in trine.families for f in pair]
+        families += [[np.outer(b, b.conj()) for b in trine.basis.T]]
+        families += [random_family(rand, dim, k) for dim, k in ((2, 1), (3, 3), (6, 2), (6, 4))]
+        for partition in families:
+            dim = partition[0].shape[0]
+            got = qcore.validate_partition(partition, dim)
+            want = validate_partition_reference(partition, dim)
+            assert got.shape == (len(partition), dim, dim)
+            assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
+            assert not any(np.shares_memory(got, m) for m in partition)  # a new stack
+
+    def test_agrees_with_the_member_check_near_the_tolerance(self, rand):
+        seen = set()
+        for dim, k in ((2, 2), (3, 3), (6, 2), (6, 6)) * 60:
+            partition = random_family(rand, dim, k)
+            # one member moved by about ATOL in a random entry, kept Hermitian
+            i, j = rand.integers(dim, size=2)
+            step = np.zeros((dim, dim), dtype=complex)
+            step[i, j] = qcore.ATOL * rand.uniform(0.3, 3) * np.exp(1j * rand.uniform(0, 2 * np.pi))
+            partition[rand.integers(k)] += step + step.conj().T
+            outcome = []
+            for check in (qcore.validate_partition, validate_partition_reference):
+                try:
+                    outcome.append([m.tobytes() for m in check(partition, dim)])
+                except qcore.InvalidPartition as exc:
+                    outcome.append(str(exc))
+            assert outcome[0] == outcome[1]
+            seen.add(outcome[0] if isinstance(outcome[0], str) else "passed")
+        # the perturbed families reach each side of the first two checks
+        assert {"passed", BAD_FAMILIES["scaled"][1], BAD_FAMILIES["incomplete"][1]} <= seen
 
 
 class TestWithinAtol:
