@@ -11,7 +11,10 @@ Because no generator state is shared between trials, trials can be
 evaluated in any order (or in parallel) with identical results.  The
 batch sampler in ``_kernels`` does the same arithmetic on numpy
 ``uint64`` arrays, many trials at once, and is bit-identical to this
-module.
+module.  It compares the integer m = mix(...) >> 11 with integer
+thresholds instead of the float: ``uniform_at`` is exactly m * 2**-53,
+so a cumulative entry c is at or below it exactly when ceil(c * 2**53)
+is at or below m.
 """
 
 from __future__ import annotations

@@ -371,6 +371,13 @@ PINNED = {
     "decimal toolate run.csv": "e426ace7e1fd0adbaa6bd836e8b9ab42defc2c07cb22febecca8548a63214b09",
     "decimal toolate run.records.jsonl":
         "ce0dcffb8ce04e9f682ea7b92652d590beee688bf8c6e30237bba3e4cbf49a9a",
+    # equal settings: zero-width uu and dd intervals, threshold 0 and a
+    # repeated one, over nine chunks per row
+    "edge epr 131073 stdout": "360379502beadfcbf09f676fd83ed58e66c3404535812e20152fd6324d07a004",
+    # near-coincident orientations: stage rows with zero entries
+    "near toolate run.csv": "97373a4aa7006aeea391e2b51b398c710141e04b89aea68a4ed803378ec90635",
+    "near toolate run.records.jsonl":
+        "fd2ec5f624f641cf48a1351c625ec79afe7be45ec0415d0a0812cc5f27cac96c",
 }
 BOUND = ["--angles", "10,130,250", "--port-binding", "2,0,1"]
 UNEVEN = ["--angles", "0,90,200", "--port-binding", "1,2,0"]
@@ -396,10 +403,14 @@ def test_artifacts_match_pinned_hashes(tmp_path, monkeypatch, capsys):
         got[f"toolate {name}"] = sha((tmp_path / name).read_bytes())
     assert main(["epr", "--trials", "131073", "--seed", "42"]) == 0
     got["epr 131073 stdout"] = sha(capsys.readouterr().out.encode("utf-8"))
+    assert main(["epr", "--angles", "0,90,360,450", "--trials", "131073", "--seed", "42"]) == 0
+    got["edge epr 131073 stdout"] = sha(capsys.readouterr().out.encode("utf-8"))
     for prefix, argv in (
         ("toolate 131073", ["toolate", "--trials", "131073", "--seed", "42", "--out", "run.csv"]),
         ("bound toolate", ["toolate", "--trials", "20000", "--seed", "42", "--out", "run.csv"] + BOUND),
         ("decimal toolate", ["toolate", "--trials", "70000", "--seed", "8", "--out", "run.csv"] + DECIMAL),
+        ("near toolate", ["toolate", "--angles", "0,0.0001,0.0002", "--trials", "70001",
+                          "--seed", "3", "--out", "run.csv"]),
     ):
         subdir = tmp_path / prefix.replace(" ", "_")
         subdir.mkdir()

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -128,8 +129,10 @@ def test_categorical_counts_match_searchsorted_reference(angles, seed):
 
 
 def test_pick_at_threshold_edges():
-    """Uniforms on each cumulative entry and one ulp either side of it,
-    against the rule "first index whose entry is above u"."""
+    """Draws m on each cumulative entry's threshold ceil(c * 2**53) and
+    one either side of it, and the extreme draws 0 and 2**53 - 1, against
+    the rule "first index whose entry is above u = m * 2**-53", taken in
+    exact rationals and checked against the float compares."""
     top = np.nextafter(1.0, 0.0)  # the largest uniform the stream gives
     probs = np.array([
         [0.1, 0.2, 0.3, 0.15, 0.25],
@@ -143,19 +146,60 @@ def test_pick_at_threshold_edges():
     for p, row in zip(probs, cum):
         # every entry from the last positive weight on is pinned to 1
         assert np.all(row[np.flatnonzero(p)[-1]:] == 1.0)
-    edges = np.append(cum.ravel(), [0.0, top])  # the extreme uniforms
-    u = np.unique(np.concatenate(
-        [np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)]))
-    u = u[(u >= 0.0) & (u < 1.0)]
-    columns = _kernels._columns(cum)
-    want = [[next(j for j, c in enumerate(row) if c > x) for x in u] for row in cum]
-    stream = _kernels._Stream(len(cum) * len(u))
+    ceilings = {math.ceil(Fraction(float(c)) * 2**53) for c in cum.ravel()}
+    draws = {t + d for t in ceilings for d in (-1, 0, 1)} | {0, 2**53 - 1}
+    m = np.array(sorted(x for x in draws if 0 <= x < 2**53), dtype=np.int64)
+    want = [[next(j for j, c in enumerate(row) if Fraction(float(c)) > Fraction(int(x), 2**53))
+             for x in m] for row in cum]
+    # the float rule c <= u on the same draws, whose uniforms are exact
+    u = m * 2.0**-53
+    assert [np.count_nonzero(row[:-1, None] <= u, axis=0).tolist() for row in cum] == want
+    columns = _kernels._thresholds(cum)
+    stream = _kernels._Stream(len(cum) * len(m))
     for r in range(len(cum)):
-        assert stream.pick(columns, r, u).tolist() == want[r]
+        assert stream.pick(columns, r, m).tolist() == want[r]
         assert np.all(probs[r, want[r]] > 0.0)  # no zero-width interval is picked
-    rows = np.repeat(np.arange(len(cum)), len(u))
-    per_trial = stream.pick(columns, rows, np.tile(u, len(cum)))
+    rows = np.repeat(np.arange(len(cum)), len(m))
+    per_trial = stream.pick(columns, rows, np.tile(m, len(cum)))
     assert per_trial.tolist() == sum(want, [])
+
+
+def test_categorical_counts_count_a_draw_on_its_threshold():
+    """Rows whose cumulative entries are uniforms of their own trials
+    and the grid point after one, so draws land exactly on thresholds:
+    a draw on an entry passes it, against the float rule."""
+    n = 40
+    u = [sorted(uniform_at(trial_seed(mix64(5, r), i), 0) for i in range(n)) for r in range(2)]
+    cum = np.array([
+        [u[0][5], u[0][17], u[0][17] + 2.0**-53, u[0][30], 1.0],
+        [0.0, u[1][3], u[1][3], u[1][20], 1.0],  # zero-width intervals
+    ])
+    counts = _kernels.categorical_counts(cum, 5, n)
+    for r in range(2):
+        picks = [sum(c <= x for c in cum[r, :-1]) for x in u[r]]
+        assert counts[r].tolist() == np.bincount(picks, minlength=5).tolist()
+        assert set(cum[r]) & set(u[r])  # some draws sit on an entry
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.25])
+def test_thresholds_reject_non_finite_and_negative_entries(bad):
+    cum = np.array([[0.25, 0.5, 1.0], [0.25, 0.5, 1.0]])
+    cum[1, 1] = bad
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        _kernels._thresholds(cum)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        _kernels.categorical_counts(cum, 1, 10)
+
+
+def test_thresholds_reject_a_decreasing_row():
+    # the 1.0000000000000002 before the pinned 1 is no decrease: both are
+    # past every draw
+    _kernels._thresholds(np.array([[0.6, 1.0000000000000002, 1.0]]))
+    cum = np.array([[0.25, 0.5, 1.0], [0.5, 0.25, 1.0]])
+    with pytest.raises(ValueError, match="must not decrease"):
+        _kernels._thresholds(cum)
+    with pytest.raises(ValueError, match="must not decrease"):
+        _kernels.categorical_counts(cum, 1, 10)
 
 
 def test_collapse_sampler_pins_the_last_possible_outcome():
