@@ -27,6 +27,8 @@ import numpy as np
 
 from . import qcore
 from .protocol import (
+    PARTICLE_A,
+    PARTICLE_B,
     ExitLabel,
     JointState,
     Trine,
@@ -34,7 +36,6 @@ from .protocol import (
     exit_basis,
     exit_labels,
     exit_vector,
-    joint_exit_basis,
 )
 from .spinlab import SpinValue
 
@@ -59,8 +60,10 @@ def _pair_product(value_a: SpinValue, value_b: SpinValue, trine: Trine) -> np.nd
 
 
 def _same_orientation_term(value: SpinValue, trine: Trine) -> np.ndarray:
-    # joint column 7*e is exit e on both particles; value v has exits v, v+2, v+4
-    return joint_exit_basis(trine)[:, 7 * value :: 14].sum(axis=1)
+    # value v has exits v, v+2, v+4; column e is kron(exit e, exit e),
+    # from the same products as np.kron
+    cols = exit_basis(trine)[:, value::2]
+    return (cols[:, None, :] * cols[None, :, :]).reshape(-1, 3).sum(axis=1)
 
 
 def literal_pair_state(trine: Trine) -> tuple[np.ndarray, float]:
@@ -112,14 +115,14 @@ def oracle_conditional_state(
 ) -> tuple[JointState, float]:
     """Ground-truth pair state after both value measurements.
 
-    Projects the prepared pair ``trine.pair`` with the two value
-    projectors of ``trine.families`` and renormalizes; also returns the
-    joint probability of that value pair.  Derived entirely from first
-    principles.
+    Projects the prepared pair ``trine.pair`` with the value projectors
+    of ``trine.families``, on A's factor and then on B's, and
+    renormalizes; also returns the joint probability of that value pair.
+    Derived entirely from first principles.
     """
-    (values_a, _), (values_b, _) = trine.families
-    prob_a, state = qcore.project(values_a[value_a], trine.pair)
-    prob_b, state = qcore.project(values_b[value_b], state)
+    values, _ = trine.families
+    prob_a, state = qcore.project(values[value_a], trine.pair, PARTICLE_A)
+    prob_b, state = qcore.project(values[value_b], state, PARTICLE_B)
     return JointState(state, trine), prob_a * prob_b
 
 
@@ -205,7 +208,9 @@ def verify_states(trine: Trine) -> VerificationReport:
     ]
 
     # a vdot per contiguous row: strided rows or a matmul move the printed bits
-    exit_pairs = np.ascontiguousarray(joint_exit_basis(trine).T)
+    # row 6*eA + eB is kron(exit eA, exit eB), from the same products as np.kron
+    basis = exit_basis(trine)
+    exit_pairs = (basis.T[:, None, :, None] * basis.T[None, :, None, :]).reshape(36, 36)
     joint_amps = np.array([np.vdot(pair, joint) for pair in exit_pairs]).reshape(6, 6)
     cond_amps = exit_amplitudes(cond_upup)
     zero_checks = (

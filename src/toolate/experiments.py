@@ -119,8 +119,10 @@ class ExperimentConfig:
             raise ValueError("this protocol needs exactly three angles")
         if len(set(angles)) != len(angles):
             raise ValueError("angles must be distinct")
-        if not chsh:
-            Trine.from_degrees(angles)  # raises if two orientations coincide modulo 360
+        # Trine raises if two orientations coincide modulo 360; labels and
+        # records name each by degrees_of, so two must not share one either
+        if not chsh and len(set(map(degrees_of, Trine.from_degrees(angles).angles_by_port))) < 3:
+            raise ValueError("orientations must differ in degrees rounded to 9 decimals")
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "port_binding", tuple(self.port_binding))
         object.__setattr__(self, "threshold", float(self.threshold))

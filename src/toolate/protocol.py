@@ -6,7 +6,10 @@ A particle occupies a 6-dim space: path factor of dim 3 (ports p1/p2/p3,
 each aimed at one magnet orientation) tensored with a spin factor of
 dim 2 (z basis).  Single-particle basis index = 2*port + spin.  The pair
 lives in 36 dims laid out as path_A (x) spin_A (x) path_B (x) spin_B,
-row-major, so the joint index is 6*(2*pA + sA) + (2*pB + sB).
+row-major, so the joint index is 6*(2*pA + sA) + (2*pB + sB).  Each
+measurement acts on one particle: its 6x6 operator acts on that
+particle's factor of the pair, A's the leading 6 dimensions and B's the
+trailing 6 (``qcore`` ``factor`` 0 and 1), and is never lifted to 36x36.
 
 Exit bookkeeping
 ----------------
@@ -17,8 +20,9 @@ ports to orientations; the port is recovered through the trine when a
 spatial mode is needed.  ``exit_basis`` holds the six exit states as
 columns in that order: column 2*k + v is the k-th orientation with
 value v, so ``[:, v::2]`` are the three exits of value v.  The value
-projectors and the audit's literal forms are built from it, and the 36
-joint exit states are its Kronecker square, column 6*eA + eB.
+projectors and the audit's literal forms are built from it, and the
+amplitude of the joint exit pair (eA, eB) is that of basis column eA on
+A's factor and column eB on B's (``exit_amplitudes``).
 """
 
 from __future__ import annotations
@@ -51,9 +55,9 @@ class Trine:
     ``angles_by_port[k]`` is the orientation of the magnet behind port
     k.  ``orientations`` lists the same angles sorted ascending; that
     order is the canonical exit enumeration used by every table.  A trine
-    builds its exit bases (``basis``, ``joint_basis``), checked families
-    (``families``) and prepared pair (``pair``) once, on first use, and
-    keeps them; equality and hashing see only ``angles_by_port``.
+    builds its exit basis (``basis``), checked families (``families``)
+    and prepared pair (``pair``) once, on first use, and keeps them;
+    equality and hashing see only ``angles_by_port``.
     """
 
     angles_by_port: tuple[float, float, float]
@@ -95,27 +99,16 @@ class Trine:
         return _read_only(np.column_stack([exit_vector(self, lab) for lab in exit_labels(self)]))
 
     @cached_property
-    def joint_basis(self) -> np.ndarray:
-        """``np.kron(basis, basis)``: joint exit state 6*eA + eB per column; read-only."""
-        return _read_only(np.kron(self.basis, self.basis))
-
-    @cached_property
-    def families(self) -> tuple[tuple[qcore.ProjectorFamily, qcore.ProjectorFamily], ...]:
-        """``families[particle]`` is ``(values, exits)`` for particle A
-        (0) and B (1): the value family (P_up, P_down) and the six exit
-        projectors in ``exit_labels`` order, on the pair.  Each family is
-        checked once, as a 6x6 ``qcore.ProjectorFamily`` on one particle,
-        and embedded for A and B with no second check: embedding by an
-        identity keeps every property that check established
-        (``ProjectorFamily.embed``)."""
+    def families(self) -> tuple[qcore.ProjectorFamily, qcore.ProjectorFamily]:
+        """``(values, exits)``: the value family (P_up, P_down) and the
+        six exit projectors in ``exit_labels`` order, each a 6x6
+        ``qcore.ProjectorFamily`` checked once.  Both particles measure
+        with them, each on its own factor of the pair."""
         basis = exit_basis(self)
         values = qcore.ProjectorFamily(_value_blocks(basis))
         # exit e's projector is the outer product of basis column e
         exits = qcore.ProjectorFamily(basis.T[:, :, None] * basis.T.conj()[:, None, :])
-        return tuple(
-            (values.embed(*_identities(p)), exits.embed(*_identities(p)))
-            for p in (PARTICLE_A, PARTICLE_B)
-        )
+        return values, exits
 
     @cached_property
     def pair(self) -> np.ndarray:
@@ -211,12 +204,12 @@ def prepare_joint(trine: Trine) -> JointState:
     return JointState(vec, trine)
 
 
-def _identities(particle: int) -> tuple[int, int]:
-    """The identity dimensions (left, right) that put one particle's 6x6
-    operators on the pair: kron(op, I) for A and kron(I, op) for B."""
+def _factor(particle: int) -> int:
+    """The factor of the pair that one particle's operators act on: the
+    leading 6 dimensions (0) for A, the trailing 6 (1) for B."""
     if particle not in (PARTICLE_A, PARTICLE_B):
         raise ValueError("particle must be 0 (A) or 1 (B)")
-    return (1, PARTICLE_DIM) if particle == PARTICLE_A else (PARTICLE_DIM, 1)
+    return particle
 
 
 def _value_blocks(basis: np.ndarray) -> np.ndarray:
@@ -224,36 +217,37 @@ def _value_blocks(basis: np.ndarray) -> np.ndarray:
     return np.array([basis[:, v::2] @ basis[:, v::2].conj().T for v in SpinValue])
 
 
+def _on_pair(block: np.ndarray, particle: int) -> np.ndarray:
+    # kron(block, I) for A, kron(I, block) for B
+    eye = np.eye(PARTICLE_DIM, dtype=complex)
+    return np.kron(block, eye) if _factor(particle) == PARTICLE_A else np.kron(eye, block)
+
+
 def value_projectors(trine: Trine, particle: int) -> tuple[np.ndarray, np.ndarray]:
-    """Projectors fixing one particle's spin value across all three ports.
+    """Projectors fixing one particle's spin value across all three ports,
+    as 36x36 operators on the pair.
 
     P_up sums |port(o)><port(o)| (x) |up(o)><up(o)| over the trine; the
-    orientation stays superposed.  P_up + P_down is the identity.
+    orientation stays superposed.  P_up + P_down is the identity.  The
+    measurements use the 6x6 blocks of ``Trine.families`` instead.
     """
-    return tuple(qcore.kron_identity(_value_blocks(exit_basis(trine)), *_identities(particle)))
+    return tuple(_on_pair(block, particle) for block in _value_blocks(exit_basis(trine)))
 
 
 def exit_projector(trine: Trine, particle: int, label: ExitLabel) -> np.ndarray:
+    """One exit's projector as a 36x36 operator on the pair."""
     vec = exit_vector(trine, label)
-    return qcore.kron_identity(np.outer(vec, vec.conj())[None], *_identities(particle))[0]
-
-
-def _families(
-    state: JointState, particle: int
-) -> tuple[qcore.ProjectorFamily, qcore.ProjectorFamily]:
-    """One particle's value and exit families, from the state's trine."""
-    if particle not in (PARTICLE_A, PARTICLE_B):
-        raise ValueError("particle must be 0 (A) or 1 (B)")
-    return state.trine.families[particle]
+    return _on_pair(np.outer(vec, vec.conj()), particle)
 
 
 def measure_value(
     state: JointState, particle: int, rng: TrialRng
 ) -> tuple[SpinValue, JointState]:
     """Measure one particle's spin value only; orientation stays superposed.
-    Samples the value family of the state's trine (``Trine.families``)."""
-    values, _ = _families(state, particle)
-    index, post = qcore.sample(state.vec, values, rng)
+    Samples the value family of the state's trine (``Trine.families``)
+    on the particle's factor of the pair."""
+    values, _ = state.trine.families
+    index, post = qcore.sample(state.vec, values, rng, _factor(particle))
     return SpinValue(index), JointState(post, state.trine)
 
 
@@ -261,25 +255,22 @@ def measure_orientation(
     state: JointState, particle: int, rng: TrialRng
 ) -> tuple[ExitLabel, JointState]:
     """Complete one particle's measurement by sampling its six exits,
-    the exit family of the state's trine (``Trine.families``).  Only
-    the drawn exit's label is built: exit ``index`` is the orientation
-    of rank ``index // 2`` with value ``index % 2``, as in
-    ``exit_labels``."""
-    _, exits = _families(state, particle)
-    index, post = qcore.sample(state.vec, exits, rng)
+    the exit family of the state's trine (``Trine.families``), on the
+    particle's factor of the pair.  Only the drawn exit's label is
+    built: exit ``index`` is the orientation of rank ``index // 2`` with
+    value ``index % 2``, as in ``exit_labels``."""
+    _, exits = state.trine.families
+    index, post = qcore.sample(state.vec, exits, rng, _factor(particle))
     label = ExitLabel(state.trine.orientations[index // 2], SpinValue(index % 2))
     return label, JointState(post, state.trine)
 
 
-def joint_exit_basis(trine: Trine) -> np.ndarray:
-    """The trine's kept 36x36 joint exit basis, ``Trine.joint_basis``."""
-    return trine.joint_basis
-
-
 def exit_amplitudes(state: JointState) -> np.ndarray:
-    """Amplitude of every joint exit pair, shape (6, 6), indexed [A, B]."""
-    basis = joint_exit_basis(state.trine)
-    return (basis.conj().T @ state.vec).reshape(PARTICLE_DIM, PARTICLE_DIM)
+    """Amplitude of every joint exit pair, shape (6, 6), indexed [A, B]:
+    sum over i, j of conj(basis[i, eA]) conj(basis[j, eB]) M[i, j], with
+    M the pair as a 6x6 matrix indexed [A, B]."""
+    conj = exit_basis(state.trine).conj()
+    return np.einsum("ie,jf,ij->ef", conj, conj, state.vec.reshape(PARTICLE_DIM, PARTICLE_DIM))
 
 
 def joint_distribution(state: JointState) -> np.ndarray:
@@ -302,8 +293,9 @@ def composed_distribution(state: JointState, order: Sequence[str]) -> np.ndarray
 
     ``order`` interleaves the four stages (value/orientation for each
     particle) with each particle's value before its orientation, each
-    measured with the families of the state's trine.  Used as the
-    ordering-invariance oracle against ``joint_distribution``.  Each
+    measured with the families of the state's trine on that particle's
+    factor of the pair.  Used as the ordering-invariance oracle against
+    ``joint_distribution``.  Each
     branch weighs every member of its stage's family in one
     ``qcore.projections`` product, all six exits for an orientation
     stage.  A child branch collapses by dividing its projected row by the
@@ -316,8 +308,7 @@ def composed_distribution(state: JointState, order: Sequence[str]) -> np.ndarray
         raise ValueError("each particle's value stage must precede its orientation stage")
 
     labels = exit_labels(state.trine)
-    (values_a, exits_a), (values_b, exits_b) = state.trine.families
-    partitions = {"vA": values_a, "oA": exits_a, "vB": values_b, "oB": exits_b}
+    values, exits = state.trine.families
     table = np.zeros((PARTICLE_DIM, PARTICLE_DIM))
     # depth-first over outcome branches; each (exit_A, exit_B) leaf is
     # reached by exactly one branch, so the visiting order is immaterial
@@ -325,7 +316,8 @@ def composed_distribution(state: JointState, order: Sequence[str]) -> np.ndarray
     while pending:
         stage, vec, weight, outcome = pending.pop()
         tag = order[stage]
-        probs, rows = qcore.projections(partitions[tag].stack, vec)
+        family = exits if tag[0] == "o" else values
+        probs, rows = qcore.projections(family.stack, vec, "AB".index(tag[1]))
         for name, prob in enumerate(probs):
             if prob <= qcore.ZERO_PROB:
                 continue
@@ -362,15 +354,16 @@ class StageConditionals:
 
 def stage_conditionals(trine: Trine) -> StageConditionals:
     """The stage tables of ``trine``, by projecting its prepared pair
-    ``trine.pair`` with ``trine.families``.  The value stages collapse
-    through ``qcore.project``.  Each orientation stage projects only onto
+    ``trine.pair`` with ``trine.families``, each particle's stages on
+    its own factor of the pair.  The value stages collapse through
+    ``qcore.project``.  Each orientation stage projects only onto
     the exits of the value drawn before it, ``stack[v::2]``, in one
     ``qcore.projections`` product, and A's exit collapses reuse its
     projected rows.  A value pair whose joint weight is at or below
     1e-12 keeps weight 0 and all-zero orientation rows, as an
     orientation of weight 0 does; that includes a B value that
     ``qcore.project`` refuses to collapse onto after A's collapse."""
-    (proj_a, exits_a), (proj_b, exits_b) = trine.families
+    values, exits = trine.families
 
     p_value_a = np.zeros(2)
     p_value_b = np.zeros((2, 2))
@@ -378,23 +371,23 @@ def stage_conditionals(trine: Trine) -> StageConditionals:
     p_orient_b = np.zeros((2, 2, PATH_DIM, PATH_DIM))
 
     for va in SpinValue:
-        prob_a, state_a = qcore.project(proj_a[va], trine.pair)
+        prob_a, state_a = qcore.project(values[va], trine.pair, PARTICLE_A)
         p_value_a[va] = prob_a
         for vb in SpinValue:
             try:
-                prob_b, state_b = qcore.project(proj_b[vb], state_a)
+                prob_b, state_b = qcore.project(values[vb], state_a, PARTICLE_B)
             except qcore.ZeroProbability:
                 continue  # an impossible value pair keeps zero rows
             if prob_a * prob_b <= qcore.ZERO_PROB:
                 continue  # so does one whose joint weight is rounding dust
             p_value_b[va, vb] = prob_b
             # rank r of value va is exit 2*r + va
-            probs_a, rows_a = qcore.projections(exits_a.stack[va::2], state_b)
+            probs_a, rows_a = qcore.projections(exits.stack[va::2], state_b, PARTICLE_A)
             p_orient_a[va, vb] = qcore.snap(probs_a)
             for ra in range(PATH_DIM):
                 if p_orient_a[va, vb, ra] > 0.0:
                     state_ra = rows_a[ra] / np.sqrt(probs_a[ra])
-                    probs_b, _ = qcore.projections(exits_b.stack[vb::2], state_ra)
+                    probs_b, _ = qcore.projections(exits.stack[vb::2], state_ra, PARTICLE_B)
                     p_orient_b[va, vb, ra] = qcore.snap(probs_b)
         p_value_b[va] = qcore.snap(p_value_b[va])
     return StageConditionals(qcore.snap(p_value_a), p_value_b, p_orient_a, p_orient_b)

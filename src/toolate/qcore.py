@@ -4,7 +4,10 @@ State vectors are plain complex128 ndarrays over a computational basis;
 operators are square complex128 matrices.  Basis ordering is row-major
 over tensor factors (first factor outermost).  This module is agnostic
 about what the factors mean; composite-state modules own the layout and
-pass it in as a tuple of factor dimensions.
+pass it in as a tuple of factor dimensions.  A d x d operator on a
+larger state acts on one factor of it, never lifted to the state's
+dimension: ``factor=0`` is the leading d dimensions, ``factor=1`` the
+trailing d (``_apply``).
 
 Dimensions in this package never exceed 36, so plain dense arithmetic
 at double precision is exact to well below the stated tolerances.
@@ -85,32 +88,53 @@ def _born_weights(arr: np.ndarray, rows) -> np.ndarray:
     return np.clip([np.vdot(arr, row).real for row in rows], 0.0, 1.0)
 
 
-def projection_probability(proj, state) -> float:
+def _apply(stack: np.ndarray, arr: np.ndarray, factor: int) -> np.ndarray:
+    """Each d x d operator of a (k, d, d) stack applied to one factor of
+    ``arr``, as rows of a C-contiguous (k, arr.size) array.  Factor 0 is
+    the leading d dimensions: one product of the k * d operator rows with
+    ``arr.reshape(d, -1)``, bit for bit ``stack @ arr`` on a d-dim state.
+    Factor 1 is the trailing d: one matrix-vector product per operator
+    and leading index.  On the pair these give the Born weights of
+    kron(P, I) and kron(I, P) bit for bit; B's one-product form,
+    ``M @ P.T``, does not."""
+    k, d, _ = stack.shape
+    if factor == 0:
+        rows = stack.reshape(-1, d) @ arr.reshape(d, -1)
+    elif factor == 1:
+        rows = stack[:, None] @ arr.reshape(-1, d, 1)
+    else:
+        raise ValueError("factor must be 0 (leading) or 1 (trailing)")
+    return rows.reshape(k, arr.size)
+
+
+def projection_probability(proj, state, factor: int = 0) -> float:
     arr = as_state(state)
-    return float(_born_weights(arr, [np.asarray(proj, dtype=complex) @ arr])[0])
+    return float(_projections(np.asarray(proj, dtype=complex)[None], arr, factor)[0][0])
 
 
-def projections(stack, state) -> tuple[np.ndarray, np.ndarray]:
-    """Born weight and projected vector of every projector in ``stack``.
+def projections(stack, state, factor: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Born weight and projected vector of every projector in ``stack``,
+    acting on ``factor`` of the state (``_apply``).
 
     ``stack`` is a (k, d, d) array, such as a family's ``stack`` or a
-    slice of it.  One product gives all k projected vectors as rows,
-    ``stack @ state``; weight i equals ``projection_probability`` of
-    member i bit for bit.  The state is checked once, by ``as_state``,
-    not per member; ``sample``, which has checked it already, calls
-    ``_projections`` directly.
+    slice of it.  One product gives all k projected vectors as rows;
+    weight i equals ``projection_probability`` of member i bit for bit.
+    The state is checked once, by ``as_state``, not per member;
+    ``sample``, which has checked it already, calls ``_projections``
+    directly.
     """
-    return _projections(np.asarray(stack, dtype=complex), as_state(state))
+    return _projections(np.asarray(stack, dtype=complex), as_state(state), factor)
 
 
-def _projections(stack: np.ndarray, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _projections(stack: np.ndarray, arr: np.ndarray, factor: int) -> tuple[np.ndarray, np.ndarray]:
     # for a complex stack and a state that as_state has returned
-    rows = stack @ arr
+    rows = _apply(stack, arr, factor)
     return _born_weights(arr, rows), rows
 
 
-def project(proj, state) -> tuple[float, np.ndarray]:
-    """Born probability and collapsed state for a projector.
+def project(proj, state, factor: int = 0) -> tuple[float, np.ndarray]:
+    """Born probability and collapsed state for a projector on
+    ``factor`` of the state (``_apply``).
 
     Raises ZeroProbability when the weight is at or below 1e-12; zeros
     in this package are analytic zeros, so the threshold only guards
@@ -118,12 +142,11 @@ def project(proj, state) -> tuple[float, np.ndarray]:
     """
     if not is_projector(proj):
         raise ValueError("operator is not a projector")
-    p = np.asarray(proj, dtype=complex)
-    arr = as_state(state)
-    prob = projection_probability(p, arr)
+    probs, rows = _projections(np.asarray(proj, dtype=complex)[None], as_state(state), factor)
+    prob = float(probs[0])
     if prob <= ZERO_PROB:
         raise ZeroProbability(f"projection weight {prob:.3e} at or below {ZERO_PROB:.0e}")
-    return prob, (p @ arr) / np.sqrt(prob)
+    return prob, rows[0] / np.sqrt(prob)
 
 
 def validate_partition(partition, dim: int) -> np.ndarray:
@@ -165,8 +188,8 @@ class ProjectorFamily(tuple):
     read-only view of its slice, so the members stay what was checked:
     ``is_projector`` trusts them, and ``sample`` draws from them with no
     further check.  ``projections`` takes ``stack``, or a slice of it,
-    to weigh every member at once.  ``embed`` puts a checked family on a
-    larger space without checking it again.
+    to weigh every member at once, on a state of its own dimension or on
+    one factor of a larger one.
     """
 
     stack: np.ndarray
@@ -174,12 +197,7 @@ class ProjectorFamily(tuple):
     def __new__(cls, partition):
         ops = list(partition)
         shape = np.shape(ops[0]) if ops else ()
-        return cls._of_checked(validate_partition(ops, shape[0] if shape else 0))
-
-    @classmethod
-    def _of_checked(cls, stack: np.ndarray) -> "ProjectorFamily":
-        # only for a stack that passed validate_partition, or is the
-        # embedding of one that did
+        stack = validate_partition(ops, shape[0] if shape else 0)
         stack.flags.writeable = False
         members = []
         for op in stack:
@@ -194,42 +212,6 @@ class ProjectorFamily(tuple):
     def dim(self) -> int:
         return self[0].shape[0]
 
-    def embed(self, left: int, right: int) -> "ProjectorFamily":
-        """The family kron(I_left, P, I_right), P over the members, on
-        left * dim * right dimensions, built by ``kron_identity``.
-
-        It is not checked again, and need not be: every entry of
-        Q - Q^dagger, Q^2 - Q, sum(Q) - I and Q_i Q_j for the embedded
-        members Q is an entry of the same quantity for the members times
-        an identity entry, 0 or 1, so it is within ATOL exactly where
-        the checked family's is."""
-        return ProjectorFamily._of_checked(kron_identity(self.stack, left, right))
-
-
-def kron_identity(ops, left: int, right: int) -> np.ndarray:
-    """kron(I_left, op, I_right) for each operator of a (k, d, d) stack.
-
-    By the broadcast product ``np.kron`` makes, so the result is bitwise
-    ``np.kron(op, I_right)`` when ``left`` is 1, ``np.kron(I_left, op)``
-    when ``right`` is 1, and ``np.kron(I_left, np.kron(op, I_right))``
-    otherwise, signed zeros included.  It runs one operator at a time,
-    into one output: numpy gives each operand of a broadcast product a
-    buffer of up to 8192 elements, so one product over a six-member
-    family would hold three times its output."""
-    ops = np.asarray(ops, dtype=complex)
-    if left > 1 and right > 1:
-        return kron_identity(kron_identity(ops, 1, right), left, 1)
-    k, d, _ = ops.shape
-    m = left * right  # the dimension of the one identity
-    eye = np.eye(m, dtype=complex)
-    out = np.empty((k, d * m, d * m), dtype=complex)
-    for op, block in zip(ops, out):
-        if left == 1:
-            np.multiply(op[:, None, :, None], eye[:, None, :], out=block.reshape(d, m, d, m))
-        else:
-            np.multiply(eye[:, None, :, None], op[None, :, None, :], out=block.reshape(m, d, m, d))
-    return out
-
 
 def snap(weights) -> np.ndarray:
     """Born weights made drawable: entries at or below 1e-12 are set to
@@ -240,9 +222,12 @@ def snap(weights) -> np.ndarray:
     return out / out.sum(axis=-1, keepdims=True)
 
 
-def sample(state, family: ProjectorFamily, rng: TrialRng) -> tuple[int, np.ndarray]:
-    """Draw one outcome from a ``ProjectorFamily`` on the state's space,
-    which was checked when it was built; anything else raises
+def sample(
+    state, family: ProjectorFamily, rng: TrialRng, factor: int = 0
+) -> tuple[int, np.ndarray]:
+    """Draw one outcome from a ``ProjectorFamily`` acting on ``factor``
+    of the state (``_apply``), checked when it was built; anything else,
+    or a family whose dimension does not divide the state's, raises
     InvalidPartition.  One uniform is consumed per call: outcome = first
     index whose cumulative weight exceeds the draw.  The weights are
     made drawable by ``snap``, and ``_kernels.cumulative`` pins every
@@ -254,9 +239,9 @@ def sample(state, family: ProjectorFamily, rng: TrialRng) -> tuple[int, np.ndarr
     product then takes the checked array as it is.
     """
     arr = require_normalized(state)
-    if not isinstance(family, ProjectorFamily) or family.dim != arr.size:
-        raise InvalidPartition(f"sample needs a ProjectorFamily on dim {arr.size}")
-    probs, rows = _projections(family.stack, arr)
+    if not isinstance(family, ProjectorFamily) or arr.size % family.dim:
+        raise InvalidPartition(f"sample needs a ProjectorFamily on a factor of dim {arr.size}")
+    probs, rows = _projections(family.stack, arr, factor)
     total = probs.sum()
     if abs(total - 1.0) > ATOL:
         raise InvalidPartition(f"probabilities sum to {total}, expected 1")

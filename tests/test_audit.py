@@ -2,9 +2,12 @@ import json
 import math
 
 import numpy as np
+import pytest
 
+from oracles import independent_joint_exit_basis
 from toolate import qcore
 from toolate.audit import (
+    _same_orientation_term,
     literal_joint_state,
     literal_pair_state,
     literal_value_state,
@@ -24,6 +27,16 @@ from toolate.spinlab import SpinValue
 
 
 class TestLiteralForms:
+    @pytest.mark.parametrize("degrees, perm", [((0, 120, 240), (0, 1, 2)), ((0, 90, 200), (1, 2, 0)),
+                                               ((33.3, 100, 271.5), (2, 0, 1))])
+    def test_same_orientation_terms_are_bitwise_the_kron_columns(self, degrees, perm):
+        # joint column 7*e is kron(exit e, exit e); value v has exits v, v+2, v+4
+        trine = Trine.from_degrees(degrees).permuted(perm)
+        joint = independent_joint_exit_basis(trine.angles_by_port)
+        for value in SpinValue:
+            want = joint[:, 7 * value :: 14].sum(axis=1)
+            assert _same_orientation_term(value, trine).tobytes() == want.tobytes()
+
     def test_single_value_norm_and_amplitudes(self, trine):
         state, literal_norm = literal_value_state(SpinValue.UP, trine)
         assert abs(literal_norm - 1.0) < 1e-12

@@ -125,7 +125,7 @@ CLOSED_FORMS_120 = {
     [
         ("0,90,200", False),
         ("0,0.1,240", False),
-        ("0,1e-13,240", False),
+        ("0,1e-9,240", False),  # the closest pair whose degrees still differ in labels
         ("0,120,240.0000001", False),
         ("10,130,250", True),
         ("-120,0,120", True),
@@ -260,6 +260,30 @@ def test_bad_angles_value(capsys):
     assert main(["epr", "--angles", "0,90,x,135"]) == 1
 
 
+# labels and records name an orientation by its degrees to 9 decimals:
+# below 1e-9 degrees apart, or equal modulo 360 yet a few ulps apart in
+# radians, two orientations would share a label
+@pytest.mark.parametrize("angles", ["0,1e-10,2e-10", "0,1e-13,240", "10,370,100"])
+@pytest.mark.parametrize("command", ["toolate", "interfere", "erase", "verify"])
+def test_orientations_whose_labels_coincide_are_refused(tmp_path, monkeypatch, capsys,
+                                                         command, angles):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--angles", angles, "--trials", "10", "--out", "run.csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "toolate: config error: orientations must differ in degrees rounded to 9 decimals"
+    ]
+    assert list(tmp_path.iterdir()) == []  # no run.csv, no records
+
+
+def test_orientations_1e_4_degrees_apart_keep_distinct_labels(capsys):
+    assert main(["toolate", "--angles", "0,0.0001,0.0002", "--trials", "10"]) == 0
+    labels = [line.rsplit(",", 4)[0] for line in capsys.readouterr().out.splitlines()[2:]]
+    assert len(labels) == len(set(labels))
+    assert {"P(oA=0)", "P(oA=0.0001)", "P(oA=0.0002)"} <= set(labels)
+
+
 def test_bad_port_binding(capsys):
     assert main(["toolate", "--port-binding", "0,0,1", "--trials", "0"]) == 1
 
@@ -348,7 +372,7 @@ PINNED = {
     "epr stdout": "6b08f55d1ac769deebb095a5c7a34c3c9478615088aa0098dad519919387bdcc",
     # 131073 = 8 * 16384 + 1 trials: nine chunks per row, the last of one trial
     "epr 131073 stdout": "077af29313565b730f4c9556586126d063e9863fd8eeb84f77128d5f1577974e",
-    "verify stdout": "ee5895db8b262568e39ce856ce621ad52fad7d7e020885db37f8f1f8d4ceacb8",
+    "verify stdout": "324731b3d5d927bb4988a58bfa341f9ae7e71077049fd09da3bb50db68929d6d",
     "lhv stdout": "eb30cc04f471aa28b7c6cfe80ed24865a22c891e6b16c3d1f7aa78b8aead96d1",
     "interfere stdout": "a7b0f6f46162731edb7e874079ae22d244fb767901d5a2e60f3ec1e73266b856",
     # nine chunks, the last of one trial
@@ -364,7 +388,7 @@ PINNED = {
     "bound interfere stdout": "bbaffe801a56251881371f501c48ec576436f43049921aac8680559a753e3798",
     "bound erase stdout": "a4e94927f41b18d89c544adb33dbc693a297ae6bbc1a1f6de28a473b6bcafe83",
     # a trine not 120 degrees apart: verify reports the closed forms only
-    "uneven verify stdout": "b52e0dcedf8ca50c87b26117c07e5ed068c5bbd5f9569653e09d51af395578d1",
+    "uneven verify stdout": "0bfa51e39b40d6471c819dff03bd139b7db41567753b43a18038be6018a47842",
     "uneven interfere stdout": "a6359cb81509429b411d197a39d5bcb28c654fb2352423d2c553d2a8142c79ff",
     "uneven erase stdout": "b3142e88dfabfcbdfff3fa31e042525a0ba490b23a94e4e6bc6f129c95483ad1",
     # an uneven trine whose degrees print as decimals, across a chunk boundary

@@ -9,9 +9,19 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toolate import _kernels
+from toolate import _kernels, qcore
+from toolate.cli import main
 from toolate.experiments import ExperimentConfig, metadata, run_epr, run_toolate, sample_protocol
-from toolate.protocol import Trine, exit_labels, run_trial
+from toolate.protocol import (
+    PARTICLE_A,
+    PARTICLE_B,
+    STAGE_ORDERS,
+    Trine,
+    exit_labels,
+    exit_projector,
+    run_trial,
+    value_projectors,
+)
 from toolate.rng import TrialRng
 
 BINDINGS = list(itertools.permutations(range(3)))
@@ -42,6 +52,57 @@ def test_collapse_route_matches_the_sampler_draw_for_draw(angles, binding, seed)
         got = [int(record.value_a), int(record.value_b),
                labels.index(record.exit_a), labels.index(record.exit_b)]
         assert got == batch[i].tolist(), (angles, binding, seed, i)
+
+
+def collapsed_states(trine: Trine) -> list[np.ndarray]:
+    """The prepared pair and every state that value and exit collapses
+    reach from it, along each distinct prefix of ``STAGE_ORDERS`` short
+    of the last stage; a collapse divides its row by the square root of
+    its weight, as the runtime routes do."""
+    values, exits = trine.families
+    states, seen = [], set()
+    for order in STAGE_ORDERS:
+        for stop in range(len(order)):
+            if order[:stop] in seen:
+                continue
+            seen.add(order[:stop])
+            level = [trine.pair]
+            for tag in order[:stop]:
+                family = exits if tag[0] == "o" else values
+                nxt = []
+                for vec in level:
+                    weights, rows = qcore.projections(family.stack, vec, "AB".index(tag[1]))
+                    nxt += [row / np.sqrt(w) for w, row in zip(weights, rows) if w > qcore.ZERO_PROB]
+                level = nxt
+            states += level
+    return states
+
+
+# each particle's 6x6 families on its own factor of the pair, against
+# the 36x36 operators kron(P, I) and kron(I, P)
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(angles=st.tuples(degrees, degrees, degrees))
+def test_factor_weights_match_the_pair_operators(angles):
+    assume(smallest_gap(angles) >= 1.0)
+    for binding in BINDINGS:
+        trine = Trine.from_degrees(angles).permuted(binding)
+        values, exits = trine.families
+        pair_ops = [
+            (particle, family, np.array(pair_family))
+            for particle in (PARTICLE_A, PARTICLE_B)
+            for family, pair_family in (
+                (values, value_projectors(trine, particle)),
+                (exits, [exit_projector(trine, particle, label) for label in exit_labels(trine)]),
+            )
+        ]
+        for state in collapsed_states(trine):
+            for particle, family, pair_stack in pair_ops:
+                weights, rows = qcore.projections(family.stack, state, particle)
+                # projection_probability's weight of each 36x36 operator
+                want_rows = pair_stack @ state
+                want = np.clip([np.vdot(state, row).real for row in want_rows], 0.0, 1.0)
+                assert weights.tobytes() == want.tobytes(), (angles, binding)
+                assert np.array_equal(rows, want_rows)
 
 
 # weights with zeros and subnormals, a row sum off 1 by a few ulps, and
@@ -104,3 +165,43 @@ def test_epr_and_toolate_bytes_do_not_depend_on_the_chunk_size(chunk, chunks, of
     want = sampled_bytes(trials, seed)
     with chunk_size(chunk):
         assert sampled_bytes(trials, seed) == want
+
+
+# argvs from a token grammar: a subcommand or none (a bad one among
+# them), then flags with values, good and bad, and stray tokens; every
+# flag but --out and --config, which touch files, and small trial counts
+COMMANDS = [None, "epr", "toolate", "interfere", "erase", "lhv", "verify", "nope", "--help"]
+FLAGS = ["--angles", "--trials", "--seed", "--port-binding", "--threshold", "--bogus", "-h"]
+VALUES = [
+    "0,120,240", "0,90,45,135", "0,90,200", "0,0.0001,0.0002", "0,1e-10,2e-10", "10,370,100",
+    "2,0,1", "0,0,1", "1,2", ",", "", "x", "nan", "-inf", "1e400", "-1", "0", "7", "0.5",
+    str(2**64),
+]
+argvs = st.builds(
+    lambda command, parts: ([command] if command else []) + [t for part in parts for t in part],
+    st.sampled_from(COMMANDS),
+    st.lists(
+        st.one_of(st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)),
+                  st.tuples(st.sampled_from(COMMANDS[1:] + VALUES))),
+        max_size=4,
+    ),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(argv=argvs)
+def test_every_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's --help
+            code = exc.code
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        return
+    assert code == 1, (argv, code, lines)
+    one_line = len(lines) == 1 and lines[0].startswith("toolate: ")
+    usage = bool(lines) and lines[0].startswith("usage: toolate") and (
+        lines[-1].startswith("toolate: error: "))
+    assert one_line or usage, (argv, lines)

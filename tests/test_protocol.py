@@ -12,6 +12,7 @@ from oracles import (
     independent_splitter,
 )
 from toolate import protocol, qcore
+from toolate.audit import oracle_conditional_state
 from toolate.experiments import ExperimentConfig, run_verify
 from toolate.protocol import (
     JOINT_LAYOUT,
@@ -28,8 +29,9 @@ from toolate.protocol import (
     exit_basis,
     exit_labels,
     exit_vector,
+    exit_amplitudes,
+    exit_projector,
     joint_distribution,
-    joint_exit_basis,
     measure_orientation,
     measure_value,
     prepare_joint,
@@ -122,13 +124,11 @@ class TestExitVectors:
     @pytest.mark.parametrize("perm", ALL_PERMS)
     def test_kept_bases_are_read_only_and_match_the_entrywise_builders(self, degrees, perm):
         trine = Trine.from_degrees(degrees).permuted(perm)
-        basis, joint = exit_basis(trine), joint_exit_basis(trine)
-        assert basis is trine.basis and joint is trine.joint_basis
+        basis = exit_basis(trine)
+        assert basis is trine.basis
         assert basis.tobytes() == independent_exit_basis(trine.angles_by_port).tobytes()
-        assert joint.tobytes() == independent_joint_exit_basis(trine.angles_by_port).tobytes()
-        for kept in (basis, joint):
-            with pytest.raises(ValueError):
-                kept[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            basis[0, 0] = 0.0
         assert trine == Trine.from_degrees(degrees).permuted(perm)  # equality sees angles only
 
     def test_each_basis_is_built_once_per_trine(self, monkeypatch):
@@ -138,7 +138,6 @@ class TestExitVectors:
         trine = Trine.from_degrees((0, 90, 200))
         for _ in range(3):
             exit_basis(trine)
-            joint_exit_basis(trine)
             value_projectors(trine, PARTICLE_B)
             stage_conditionals(trine)
             joint_distribution(JointState(trine.pair, trine))
@@ -164,10 +163,6 @@ class TestExitVectors:
         labels = exit_labels(trine)
         vecs = [exit_vector(trine, lab) for lab in labels]
         assert np.array_equal(exit_basis(trine), np.column_stack(vecs))
-        joint = joint_exit_basis(trine)
-        for a, va in enumerate(vecs):
-            for b, vb in enumerate(vecs):
-                assert np.array_equal(joint[:, 6 * a + b], np.kron(va, vb))
         for v in SpinValue:
             block = sum(np.outer(x, x.conj()) for x, lab in zip(vecs, labels) if lab.value == v)
             assert np.array_equal(value_projectors(trine, PARTICLE_A)[v], np.kron(block, np.eye(6)))
@@ -205,12 +200,12 @@ class TestPrepareJoint:
 
     def test_kept_pair_makes_no_reference_cycle(self):
         """A trine that ran a trial and a joint distribution, and so keeps
-        its pair, families and both exit bases, is freed by its reference
+        its pair, families and exit basis, is freed by its reference
         count alone."""
         trine = Trine.from_degrees((0, 90, 200))
         run_trial(trine, TrialRng.for_trial(1, 0))
         joint_distribution(JointState(trine.pair, trine))
-        assert {"pair", "families", "basis", "joint_basis"} <= set(vars(trine))
+        assert {"pair", "families", "basis"} <= set(vars(trine))
         freed = weakref.ref(trine)
         gc.disable()
         try:
@@ -232,6 +227,19 @@ class TestValueProjectors:
         state = prepare_joint(trine)
         p_up, _ = value_projectors(trine, PARTICLE_A)
         assert abs(qcore.projection_probability(p_up, state.vec) - 0.5) < 1e-12
+
+    @pytest.mark.parametrize("particle", [-1, 2, 6])
+    def test_only_particles_a_and_b_are_measured(self, trine, particle):
+        state = JointState(trine.pair, trine)
+        label = exit_labels(trine)[0]
+        for call in (
+            lambda: value_projectors(trine, particle),
+            lambda: exit_projector(trine, particle, label),
+            lambda: measure_value(state, particle, TrialRng(0)),
+            lambda: measure_orientation(state, particle, TrialRng(0)),
+        ):
+            with pytest.raises(ValueError, match="particle must be 0 \\(A\\) or 1 \\(B\\)"):
+                call()
 
 
 class TestMeasurement:
@@ -280,7 +288,7 @@ class TestMeasurement:
         labels = exit_labels(trine)
         for particle in (PARTICLE_A, PARTICLE_B):
             for index in range(6):
-                monkeypatch.setattr(qcore, "sample", lambda vec, family, rng: (index, vec))
+                monkeypatch.setattr(qcore, "sample", lambda vec, family, rng, factor: (index, vec))
                 label, _ = measure_orientation(state, particle, TrialRng(0))
                 assert label == labels[index] and type(label.value) is SpinValue
 
@@ -302,6 +310,21 @@ class TestJointDistribution:
         for rank in range(3):
             for v in range(2):
                 assert table[2 * rank + v, 2 * rank + v] < 1e-28
+
+    @pytest.mark.parametrize("degrees", [(0, 120, 240), (0, 90, 200), (33.3, 100, 271.5)])
+    @pytest.mark.parametrize("perm", ALL_PERMS)
+    def test_amplitudes_match_the_loop_built_joint_exit_basis(self, degrees, perm):
+        # the 36x36 oracle basis, column 6*eA + eB, against the per-factor
+        # sum, on the prepared pair and on every value-conditional state
+        trine = Trine.from_degrees(degrees).permuted(perm)
+        joint = independent_joint_exit_basis(trine.angles_by_port)
+        states = [JointState(trine.pair, trine)]
+        for va in SpinValue:
+            for vb in SpinValue:
+                states.append(oracle_conditional_state(va, vb, trine)[0])
+        for state in states:
+            want = (joint.conj().T @ state.vec).reshape(6, 6)
+            assert np.abs(exit_amplitudes(state) - want).max() <= 1e-15
 
     def test_matches_independent_loop_construction(self, trine):
         mine = joint_distribution(prepare_joint(trine))

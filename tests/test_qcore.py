@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -262,13 +263,12 @@ class TestProjectorFamily:
         real_is = qcore.is_projector
         monkeypatch.setattr(qcore, "is_projector", lambda op: asked.append(op) or real_is(op))
         families = trine.families
-        # one stacked check each for the value and exit families of one
-        # particle, on its 6x6 blocks; the four 36x36 families are
-        # embeddings of those two, checked by none
+        # one stacked check each for the value and exit families, on 6x6
+        # blocks that both particles measure with
         assert checked == [(2, 6, 6), (6, 6, 6)]
         assert not asked  # the stack is checked whole, not member by member
-        members = [m for fams in families for f in fams for m in f]
-        assert len(members) == 2 * (2 + 6) and all(m.shape == (36, 36) for m in members)
+        members = [m for f in families for m in f]
+        assert len(members) == 2 + 6 and all(m.shape == (6, 6) for m in members)
 
         checked.clear()
         assert trine.families is families  # kept by the trine, not built again
@@ -289,14 +289,14 @@ class TestProjectorFamily:
 
     def test_one_draw_checks_its_state_once(self, trine, monkeypatch):
         state = JointState(trine.pair, trine)
-        values, exits = trine.families[PARTICLE_A]
         checks = []
         real = qcore.as_state
         monkeypatch.setattr(qcore, "as_state", lambda vec: checks.append(1) or real(vec))
-        for family in (values, exits):
-            checks.clear()
-            qcore.sample(state.vec, family, TrialRng.for_trial(3, 0))
-            assert len(checks) == 1
+        for family in trine.families:
+            for factor in (PARTICLE_A, PARTICLE_B):
+                checks.clear()
+                qcore.sample(state.vec, family, TrialRng.for_trial(3, 0), factor)
+                assert len(checks) == 1
         checks.clear()
         run_trial(trine, TrialRng.for_trial(3, 1), 1)
         # the JointState over the kept pair, then each of the four draws
@@ -314,50 +314,14 @@ class TestProjectorFamily:
         [lambda b: 1.01 * b, lambda b: np.column_stack([(b[:, 0] + b[:, 1]) / np.sqrt(2), b[:, 1:]])],
         ids=["scaled", "non-orthogonal"],
     )
-    def test_trine_families_with_a_bad_basis_fail_before_any_embedding(
+    def test_trine_families_with_a_bad_basis_fail_and_are_not_kept(
         self, trine, monkeypatch, break_basis
     ):
         real_basis = protocol.exit_basis
         monkeypatch.setattr(protocol, "exit_basis", lambda t: break_basis(real_basis(t)))
-        embedded = []
-        real_kron = qcore.kron_identity
-        monkeypatch.setattr(
-            qcore, "kron_identity", lambda *args: embedded.append(1) or real_kron(*args)
-        )
         with pytest.raises(qcore.InvalidPartition):
             trine.families
-        assert not embedded
         assert "families" not in vars(trine)  # a failed build is not kept
-
-    @pytest.mark.parametrize("left, right", [(1, 6), (6, 1), (2, 3)])
-    def test_embed_is_the_kron_with_identities_and_checks_nothing(
-        self, rand, left, right, monkeypatch
-    ):
-        basis, _ = np.linalg.qr(rand.normal(size=(3, 3)) + 1j * rand.normal(size=(3, 3)))
-        family = qcore.ProjectorFamily([np.outer(b, b.conj()) for b in basis.T])
-        full = []
-        real = qcore.within_atol
-        monkeypatch.setattr(qcore, "within_atol", lambda a, b: full.append(1) or real(a, b))
-        embedded = family.embed(left, right)
-        assert not full
-        assert embedded.dim == 3 * left * right and len(embedded) == 3
-        assert not embedded.stack.flags.writeable
-        eye_left, eye_right = np.eye(left, dtype=complex), np.eye(right, dtype=complex)
-        for member, op in zip(embedded, family):
-            op = np.asarray(op)
-            if left == 1:
-                want = np.kron(op, eye_right)
-            elif right == 1:
-                want = np.kron(eye_left, op)
-            else:
-                want = np.kron(eye_left, np.kron(op, eye_right))
-            assert member.tobytes() == want.tobytes()
-            assert np.signbit(want.real[want.real == 0]).any()  # so the signs are compared
-            assert np.shares_memory(member, embedded.stack)
-            assert qcore.is_projector(member) and not full
-        # a plain-array copy passes the full check it was spared
-        qcore.validate_partition([np.array(m) for m in embedded], embedded.dim)
-        assert full
 
 
 # trines with their port bindings: the default, an uneven one, one whose
@@ -372,58 +336,113 @@ STACKED_TRINES = [
 
 class TestProjections:
     """``projections`` and the stacked families against the member-by-member
-    route they replace, bit for bit."""
+    route, bit for bit, on either factor of the pair."""
 
     @pytest.mark.parametrize("degrees, perm", STACKED_TRINES)
     def test_weights_and_rows_match_each_member(self, rand, degrees, perm):
         trine = Trine.from_degrees(degrees).permuted(perm)
         states = [prepare_joint(trine).vec] + [random_state(rand, 36) for _ in range(4)]
-        for family in (f for pair in trine.families for f in pair):
+        for family in trine.families:
             for stack in (family.stack, family.stack[0::2], family.stack[1::2]):
-                for state in states:
-                    weights, rows = qcore.projections(stack, state)
-                    want = np.array([qcore.projection_probability(p, state) for p in stack])
-                    assert weights.tobytes() == want.tobytes()
-                    assert rows.tobytes() == np.array([p @ state for p in stack]).tobytes()
+                for state, factor in itertools.product(states, (PARTICLE_A, PARTICLE_B)):
+                    weights, rows = qcore.projections(stack, state, factor)
+                    want = [qcore.projection_probability(p, state, factor) for p in stack]
+                    assert weights.tobytes() == np.array(want).tobytes()
+                    want = [qcore.projections(p[None], state, factor)[1][0] for p in stack]
+                    assert rows.tobytes() == np.array(want).tobytes()
+                    assert rows.flags.c_contiguous and rows.shape == (len(stack), 36)
 
     @pytest.mark.parametrize("degrees, perm", STACKED_TRINES)
-    def test_embedded_families_pass_the_full_check(self, degrees, perm):
+    def test_pair_operators_pass_the_full_check(self, degrees, perm):
         trine = Trine.from_degrees(degrees).permuted(perm)
-        for family in (f for pair in trine.families for f in pair):
-            copies = [np.array(member) for member in family]
-            assert all(type(c) is np.ndarray for c in copies)  # not trusted, so checked
-            ops = qcore.validate_partition(copies, 36)
-            assert [op.tobytes() for op in ops] == [c.tobytes() for c in copies]
+        for particle in (PARTICLE_A, PARTICLE_B):
+            exits = [exit_projector(trine, particle, label) for label in exit_labels(trine)]
+            for partition in (value_projectors(trine, particle), exits):
+                ops = qcore.validate_partition(partition, 36)
+                assert [op.tobytes() for op in ops] == [p.tobytes() for p in partition]
 
     @pytest.mark.parametrize("degrees, perm", STACKED_TRINES)
     def test_family_members_match_the_single_builders(self, degrees, perm):
         trine = Trine.from_degrees(degrees).permuted(perm)
         eye = np.eye(6, dtype=complex)
         kron = {PARTICLE_A: lambda op: np.kron(op, eye), PARTICLE_B: lambda op: np.kron(eye, op)}
+        values, exits = trine.families
         for particle in (PARTICLE_A, PARTICLE_B):
-            values, exits = trine.families[particle]
             for v in SpinValue:
                 want = value_projectors(trine, particle)[v]
-                assert values[v].tobytes() == want.tobytes()
+                assert kron[particle](values[v]).tobytes() == want.tobytes()
             for e, label in enumerate(exit_labels(trine)):
                 want = exit_projector(trine, particle, label)
-                assert exits[e].tobytes() == want.tobytes()
+                assert kron[particle](exits[e]).tobytes() == want.tobytes()
                 vec = exit_vector(trine, label)
-                assert want.tobytes() == kron[particle](np.outer(vec, vec.conj())).tobytes()
+                assert exits[e].tobytes() == np.outer(vec, vec.conj()).tobytes()
 
     def test_members_are_trusted_read_only_views_of_the_stack(self, trine, monkeypatch):
-        families = [exits for _, exits in trine.families]
+        families = trine.families
         full = []
         real = qcore.within_atol
         monkeypatch.setattr(qcore, "within_atol", lambda a, b: full.append(1) or real(a, b))
-        for family in families:
-            assert family.stack.shape == (6, 36, 36) and not family.stack.flags.writeable
+        for family, k in zip(families, (2, 6)):
+            assert family.stack.shape == (k, 6, 6) and not family.stack.flags.writeable
             for member in family:
                 assert np.shares_memory(member, family.stack)
                 assert not member.flags.writeable
                 assert qcore.is_projector(member) and not full
                 assert qcore.is_projector(member[:]) and full
                 full.clear()
+
+
+class TestFactor:
+    """A d x d operator on one factor of a larger state, against the
+    Kronecker product with an identity that it replaces."""
+
+    @pytest.mark.parametrize("d, m, k", [(2, 3, 2), (3, 2, 3), (6, 6, 4), (2, 1, 2)])
+    def test_each_factor_matches_the_kron_reference(self, rand, d, m, k):
+        stack = np.array(random_family(rand, d, k))
+        eye = np.eye(m, dtype=complex)
+        state = random_state(rand, d * m)
+        for factor, lift in ((0, lambda p: np.kron(p, eye)), (1, lambda p: np.kron(eye, p))):
+            weights, rows = qcore.projections(stack, state, factor)
+            for p, weight, row in zip(stack, weights, rows):
+                want = lift(p) @ state
+                assert abs(weight - np.vdot(state, want).real) < 1e-15
+                assert np.abs(row - want).max() < 1e-15
+                assert qcore.projection_probability(p, state, factor) == weight
+                prob, post = qcore.project(p, state, factor)
+                assert prob == weight and post.tobytes() == (row / np.sqrt(weight)).tobytes()
+
+    def test_the_default_is_the_plain_product(self, rand):
+        stack = np.array(random_family(rand, 6, 3))
+        state = random_state(rand, 6)
+        weights, rows = qcore.projections(stack, state)
+        assert rows.tobytes() == (stack @ state).tobytes()
+        assert weights.tobytes() == qcore.projections(stack, state, 0)[0].tobytes()
+        assert np.abs(qcore.projections(stack, state, 1)[1] - rows).max() < 1e-15
+
+    @pytest.mark.parametrize("factor", [-1, 2, 6])
+    def test_other_factors_are_refused(self, factor):
+        family = qcore.ProjectorFamily([np.outer(E0, E0), np.outer(E1, E1)])
+        state = np.kron(PLUS, PLUS)
+        for call in (
+            lambda: qcore.projections(family.stack, state, factor),
+            lambda: qcore.projection_probability(family[0], state, factor),
+            lambda: qcore.project(family[0], state, factor),
+            lambda: qcore.sample(state, family, TrialRng(0), factor),
+        ):
+            with pytest.raises(ValueError, match="factor must be 0"):
+                call()
+
+    def test_sample_draws_from_a_family_on_either_factor(self, rand):
+        family = qcore.ProjectorFamily(random_family(rand, 2, 2))
+        state = random_state(rand, 6)
+        for factor in (0, 1):
+            for i in range(20):
+                index, post = qcore.sample(state, family, TrialRng.for_trial(4, i), factor)
+                _, want = qcore.project(family[index], state, factor)
+                assert post.tobytes() == want.tobytes()
+        with pytest.raises(qcore.InvalidPartition):
+            qcore.sample(random_state(rand, 6), qcore.ProjectorFamily(random_family(rand, 4, 2)),
+                         TrialRng(0))
 
 
 def tilted_pair(overlap: float) -> list[np.ndarray]:
@@ -491,7 +510,7 @@ class TestStackedCheck:
     @pytest.mark.parametrize("degrees, perm", STACKED_TRINES)
     def test_good_families_give_the_member_checks_members(self, rand, degrees, perm):
         trine = Trine.from_degrees(degrees).permuted(perm)
-        families = [[np.array(m) for m in f] for pair in trine.families for f in pair]
+        families = [[np.array(m) for m in f] for f in trine.families]
         families += [[np.outer(b, b.conj()) for b in trine.basis.T]]
         families += [random_family(rand, dim, k) for dim, k in ((2, 1), (3, 3), (6, 2), (6, 4))]
         for partition in families:
