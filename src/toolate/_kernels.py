@@ -61,8 +61,8 @@ def cumulative(probs: np.ndarray) -> np.ndarray:
     row's sum rounds.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    cum = np.cumsum(probs, axis=-1)
-    positives = np.cumsum(probs > 0.0, axis=-1)
+    cum = probs.cumsum(axis=-1)
+    positives = (probs > 0.0).cumsum(axis=-1)
     cum[positives == positives[..., -1:]] = 1.0
     return cum
 

@@ -123,6 +123,11 @@ class ExperimentConfig:
         # records name each by degrees_of, so two must not share one either
         if not chsh and len(set(map(degrees_of, Trine.from_degrees(angles).angles_by_port))) < 3:
             raise ValueError("orientations must differ in degrees rounded to 9 decimals")
+        # epr labels each correlation by its two settings' degree_text
+        if self.protocol == "epr_standard":
+            a, a2, b, b2 = (degree_text(math.radians(x)) for x in angles)
+            if a == a2 or b == b2:
+                raise ValueError("settings on one side must differ in degrees rounded to 9 decimals")
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "port_binding", tuple(self.port_binding))
         object.__setattr__(self, "threshold", float(self.threshold))

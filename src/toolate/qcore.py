@@ -15,6 +15,8 @@ at double precision is exact to well below the stated tolerances.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import _kernels
@@ -34,7 +36,7 @@ class InvalidPartition(Exception):
 
 def as_state(vec) -> np.ndarray:
     arr = np.asarray(vec, dtype=complex).reshape(-1)
-    if not np.all(np.isfinite(arr.view(float))):
+    if not np.isfinite(arr.view(float)).all():
         raise ValueError("state vector has non-finite amplitudes")
     return arr
 
@@ -48,8 +50,12 @@ def normalize(state) -> np.ndarray:
 
 
 def require_normalized(state) -> np.ndarray:
+    """The state as ``as_state`` gives it, or ValueError if its norm is
+    more than ATOL from 1.  The norm is ``sqrt`` of one ``np.vdot``: it
+    feeds only this test, so it need not round as ``np.linalg.norm``
+    does, which ``normalize`` keeps for the bits it returns."""
     arr = as_state(state)
-    if abs(np.linalg.norm(arr) - 1.0) > ATOL:
+    if abs(math.sqrt(np.vdot(arr, arr).real) - 1.0) > ATOL:
         raise ValueError("state vector is not normalized")
     return arr
 
@@ -84,8 +90,10 @@ def is_projector(op) -> bool:
 def _born_weights(arr: np.ndarray, rows) -> np.ndarray:
     """Re <arr|row> for each projected row, one ``np.vdot`` per row: a
     batched product (``rows @ arr.conj()``, ``einsum``) rounds
-    differently.  One clip then removes rounding dust outside [0, 1]."""
-    return np.clip([np.vdot(arr, row).real for row in rows], 0.0, 1.0)
+    differently.  One clip then removes rounding dust outside [0, 1]: the
+    array method, the same ufunc as ``np.clip`` without its wrappers, so
+    a weight of -0.0 stays -0.0."""
+    return np.array([np.vdot(arr, row).real for row in rows]).clip(0.0, 1.0)
 
 
 def _apply(stack: np.ndarray, arr: np.ndarray, factor: int) -> np.ndarray:
@@ -247,7 +255,7 @@ def sample(
         raise InvalidPartition(f"probabilities sum to {total}, expected 1")
     cum = _kernels.cumulative(snap(probs))
     u = rng.uniform()
-    index = int(np.searchsorted(cum, u, side="right"))
+    index = int(cum.searchsorted(u, side="right"))
     post = rows[index] / np.sqrt(probs[index])
     return index, post
 

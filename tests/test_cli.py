@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import hashlib
+import importlib.metadata
 import io
 import json
 import math
@@ -29,6 +30,16 @@ def read_csv_rows(path: Path) -> dict:
         parts = line.split(",")
         rows[parts[0]] = dict(zip(header, parts))
     return rows
+
+
+def test_console_script_is_the_main_the_tests_call():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["toolate"]
+    assert target == "toolate.cli:main"
+    # resolved as an installed console script resolves it
+    entry = importlib.metadata.EntryPoint(name="toolate", value=target, group="console_scripts")
+    assert entry.load() is main
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):
@@ -277,6 +288,13 @@ def test_orientations_whose_labels_coincide_are_refused(tmp_path, monkeypatch, c
     assert list(tmp_path.iterdir()) == []  # no run.csv, no records
 
 
+def test_an_a_setting_may_share_its_label_with_a_b_setting(capsys):
+    # each label names one A and one B setting, so E(0,0) is still one row
+    assert main(["epr", "--angles", "0,90,1e-10,45", "--trials", "0"]) == 0
+    labels = [line.rsplit(",", 4)[0] for line in capsys.readouterr().out.splitlines()[2:6]]
+    assert labels == ["E(0,0)", "E(0,45)", "E(90,0)", "E(90,45)"]
+
+
 def test_orientations_1e_4_degrees_apart_keep_distinct_labels(capsys):
     assert main(["toolate", "--angles", "0,0.0001,0.0002", "--trials", "10"]) == 0
     labels = [line.rsplit(",", 4)[0] for line in capsys.readouterr().out.splitlines()[2:]]
@@ -304,6 +322,8 @@ def test_bad_port_binding(capsys):
         (None, ["epr", "--angles", "0,90,nan,135"], "angles"),
         (None, ["verify", "--angles", "0,90,45,135"], "angles"),
         (None, ["toolate", "--angles", "0,360,120"], "distinct"),
+        (None, ["epr", "--angles", "0,1e-10,45,135", "--trials", "0"], "settings on one side"),
+        (None, ["epr", "--angles", "0,90,45,45.0000000001"], "settings on one side"),
         (None, ["toolate", "--angles", "0,,120,240"], "error: argument --angles:"),
         (None, ["toolate", "--port-binding", "2,,0,1"], "error: argument --port-binding:"),
         (None, ["toolate", "--angles", ","], "error: argument --angles:"),
@@ -333,6 +353,8 @@ def test_bad_port_binding(capsys):
         "chsh-angles-nan",
         "verify-four-angles",
         "toolate-orientations-equal-modulo-360",
+        "epr-a-labels-coincide",
+        "epr-b-labels-coincide",
         "angles-empty-part",
         "port-binding-empty-part",
         "angles-only-a-comma",

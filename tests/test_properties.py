@@ -8,7 +8,9 @@ import math
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
+from conftest import random_state
 from toolate import _kernels, qcore
 from toolate.cli import main
 from toolate.experiments import ExperimentConfig, metadata, run_epr, run_toolate, sample_protocol
@@ -129,6 +131,101 @@ def test_thresholds_agree_with_the_float_rule(weights, ulps, above, draws):
         assert np.array_equal(thresholds[:, None] <= m, row[:-1, None] <= u), row.tolist()
         got = _kernels._Stream(len(m)).pick(columns, 0, m)
         assert got.tolist() == np.count_nonzero(row[:-1, None] <= u, axis=0).tolist()
+
+
+def fails_norm_check(vec) -> bool:
+    try:
+        qcore.require_normalized(vec)
+    except ValueError:
+        return True
+    return False
+
+
+# norms within 3e-10 of 1, about the ATOL boundaries on either side
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    parts=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=2, max_size=36),
+    norm=st.floats(1.0 - 3e-10, 1.0 + 3e-10),
+)
+def test_norm_check_agrees_with_linalg_norm(parts, norm):
+    vec = np.array([complex(re, im) for re, im in parts])
+    length = np.linalg.norm(vec)
+    assume(length > 0.0)
+    vec = vec / length * norm
+    off = abs(np.linalg.norm(vec) - 1.0)
+    # the two norms may differ in their last bits, so not within 1e-15 of ATOL
+    assume(abs(off - qcore.ATOL) > 1e-15)
+    assert fails_norm_check(vec) == (off > qcore.ATOL), (off, len(parts))
+
+
+def clipped_by_function(arr, rows) -> np.ndarray:
+    """``qcore._born_weights`` through the ``np.clip`` function."""
+    return np.clip([np.vdot(arr, row).real for row in rows], 0.0, 1.0)
+
+
+# a row c * arr weighs about c: rounding dust below 0 and above 1, and
+# 0; None is a row orthogonal to arr, whose weight is dust of either sign
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    dim=st.sampled_from([2, 6, 36]),
+    seed=st.integers(0, 2**32 - 1),
+    scales=st.lists(
+        st.one_of(st.floats(0.0, 1.0), st.floats(-1e-15, 0.0), st.floats(1.0, 1.0 + 1e-15),
+                  st.just(-0.0), st.none()),
+        min_size=1, max_size=6,
+    ),
+)
+def test_born_weights_are_the_clip_function_bit_for_bit(dim, seed, scales):
+    rand = np.random.default_rng(seed)
+    arr = random_state(rand, dim)
+    rows = []
+    for scale in scales:
+        if scale is None:
+            other = random_state(rand, dim)
+            rows.append(other - np.vdot(arr, other) * arr)
+        else:
+            rows.append(scale * arr)
+    got = qcore._born_weights(arr, rows)
+    assert got.tobytes() == clipped_by_function(arr, rows).tobytes(), scales
+
+
+def test_born_weights_keep_a_negative_zero(monkeypatch):
+    # np.vdot sums from +0.0, so no row reaches a weight of -0.0
+    # through it; a stand-in gives one, and the clip must keep its sign
+    vdot = np.vdot
+    monkeypatch.setattr(np, "vdot", lambda a, b: complex(-0.0, 0.0) if not b.any() else vdot(a, b))
+    arr = np.array([1, 0], dtype=complex)
+    rows = [np.zeros(2, dtype=complex), arr]
+    got = qcore._born_weights(arr, rows)
+    assert got.tobytes() == clipped_by_function(arr, rows).tobytes()
+    assert np.signbit(got).tolist() == [True, False]
+
+
+def cumulative_by_functions(probs) -> np.ndarray:
+    """``_kernels.cumulative`` through the ``np.cumsum`` function."""
+    probs = np.asarray(probs, dtype=np.float64)
+    cum = np.cumsum(probs, axis=-1)
+    positives = np.cumsum(probs > 0.0, axis=-1)
+    cum[positives == positives[..., -1:]] = 1.0
+    return cum
+
+
+# rows with zeros, along the last axis of 1-, 2- and 3-dim tables; one
+# row is zeroed when zero_row is set
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    probs=arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side=6),
+                 elements=st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
+    zero_row=st.none() | st.integers(0, 35),
+)
+def test_cumulative_is_the_cumsum_function_bit_for_bit(probs, zero_row):
+    if zero_row is not None:
+        rows = probs.reshape(-1, probs.shape[-1])
+        rows[zero_row % len(rows)] = 0.0
+    got = _kernels.cumulative(probs)
+    want = cumulative_by_functions(probs)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes(), probs.tolist()
 
 
 @contextlib.contextmanager

@@ -573,6 +573,26 @@ class TestWithinAtol:
             qcore.entanglement_entropy(np.full((2, 2), bad))
 
 
+class TestStateChecks:
+    @pytest.mark.parametrize("dim", [2, 6, 36])
+    def test_norm_is_held_to_atol(self, rand, dim):
+        vec = random_state(rand, dim)
+        for scale in (1.0 + 5e-11, 1.0 - 5e-11):
+            assert np.array_equal(qcore.require_normalized(vec * scale), vec * scale)
+        for scale in (1.0 + 2e-10, 1.0 - 2e-10):
+            with pytest.raises(ValueError, match="not normalized"):
+                qcore.require_normalized(vec * scale)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("imaginary", [False, True])
+    def test_non_finite_amplitudes_are_refused(self, bad, imaginary):
+        vec = np.array([1, 0], dtype=complex)
+        vec[1] = complex(0.0, bad) if imaginary else complex(bad, 0.0)
+        for check in (qcore.as_state, qcore.require_normalized):
+            with pytest.raises(ValueError, match="non-finite amplitudes"):
+                check(vec)
+
+
 class TestReducedDensity:
     def test_bell_state_reduces_to_maximally_mixed(self):
         bell = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
