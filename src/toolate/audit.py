@@ -33,7 +33,6 @@ from .protocol import (
     JointState,
     Trine,
     exit_amplitudes,
-    exit_basis,
     exit_labels,
     exit_vector,
 )
@@ -48,7 +47,7 @@ def literal_value_state(value: SpinValue, trine: Trine) -> tuple[np.ndarray, flo
     Returns the normalized 6-dim state and the norm of the expression
     as written with its 1/sqrt(3) prefactor (expected 1).
     """
-    raw = exit_basis(trine)[:, value::2].sum(axis=1) / math.sqrt(3.0)
+    raw = trine.basis[:, value::2].sum(axis=1) / math.sqrt(3.0)
     literal_norm = float(np.linalg.norm(raw))
     return raw / literal_norm, literal_norm
 
@@ -62,7 +61,7 @@ def _pair_product(value_a: SpinValue, value_b: SpinValue, trine: Trine) -> np.nd
 def _same_orientation_term(value: SpinValue, trine: Trine) -> np.ndarray:
     # value v has exits v, v+2, v+4; column e is kron(exit e, exit e),
     # from the same products as np.kron
-    cols = exit_basis(trine)[:, value::2]
+    cols = trine.basis[:, value::2]
     return (cols[:, None, :] * cols[None, :, :]).reshape(-1, 3).sum(axis=1)
 
 
@@ -209,7 +208,7 @@ def verify_states(trine: Trine) -> VerificationReport:
 
     # a vdot per contiguous row: strided rows or a matmul move the printed bits
     # row 6*eA + eB is kron(exit eA, exit eB), from the same products as np.kron
-    basis = exit_basis(trine)
+    basis = trine.basis
     exit_pairs = (basis.T[:, None, :, None] * basis.T[None, :, None, :]).reshape(36, 36)
     joint_amps = np.array([np.vdot(pair, joint) for pair in exit_pairs]).reshape(6, 6)
     cond_amps = exit_amplitudes(cond_upup)

@@ -17,7 +17,7 @@ A detector-level outcome ("exit") is an orientation together with a
 spin value.  Exits are enumerated by ascending orientation angle, not
 by port, so every tabulated statistic is invariant under re-binding of
 ports to orientations; the port is recovered through the trine when a
-spatial mode is needed.  ``exit_basis`` holds the six exit states as
+spatial mode is needed.  ``Trine.basis`` holds the six exit states as
 columns in that order: column 2*k + v is the k-th orientation with
 value v, so ``[:, v::2]`` are the three exits of value v.  The value
 projectors and the audit's literal forms are built from it, and the
@@ -104,7 +104,7 @@ class Trine:
         six exit projectors in ``exit_labels`` order, each a 6x6
         ``qcore.ProjectorFamily`` checked once.  Both particles measure
         with them, each on its own factor of the pair."""
-        basis = exit_basis(self)
+        basis = self.basis
         values = qcore.ProjectorFamily(_value_blocks(basis))
         # exit e's projector is the outer product of basis column e
         exits = qcore.ProjectorFamily(basis.T[:, :, None] * basis.T.conj()[:, None, :])
@@ -187,11 +187,6 @@ def exit_vector(trine: Trine, label: ExitLabel) -> np.ndarray:
     return vec
 
 
-def exit_basis(trine: Trine) -> np.ndarray:
-    """The trine's kept 6x6 exit basis, ``Trine.basis``: exit states as columns."""
-    return trine.basis
-
-
 def prepare_joint(trine: Trine) -> JointState:
     """Both particles beam-split from port p1, spins in the singlet.
 
@@ -231,7 +226,7 @@ def value_projectors(trine: Trine, particle: int) -> tuple[np.ndarray, np.ndarra
     orientation stays superposed.  P_up + P_down is the identity.  The
     measurements use the 6x6 blocks of ``Trine.families`` instead.
     """
-    return tuple(_on_pair(block, particle) for block in _value_blocks(exit_basis(trine)))
+    return tuple(_on_pair(block, particle) for block in _value_blocks(trine.basis))
 
 
 def exit_projector(trine: Trine, particle: int, label: ExitLabel) -> np.ndarray:
@@ -269,7 +264,7 @@ def exit_amplitudes(state: JointState) -> np.ndarray:
     """Amplitude of every joint exit pair, shape (6, 6), indexed [A, B]:
     sum over i, j of conj(basis[i, eA]) conj(basis[j, eB]) M[i, j], with
     M the pair as a 6x6 matrix indexed [A, B]."""
-    conj = exit_basis(state.trine).conj()
+    conj = state.trine.basis.conj()
     return np.einsum("ie,jf,ij->ef", conj, conj, state.vec.reshape(PARTICLE_DIM, PARTICLE_DIM))
 
 

@@ -76,11 +76,9 @@ def within_atol(a, b) -> bool:
 
 
 def is_projector(op) -> bool:
-    """Whether ``op`` is a square matrix that is Hermitian and idempotent.
-    A member of a ``ProjectorFamily`` was checked when its family was
-    built and is trusted at once; any other array is checked in full."""
-    if isinstance(op, _Member) and op.checked and not op.flags.writeable:
-        return True
+    """Whether ``op`` is a square matrix that is Hermitian and idempotent,
+    each to ATOL.  Every operator is checked in full, a family member
+    too: on a 6 x 6 member the check is two small products."""
     p = np.asarray(op, dtype=complex)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         return False
@@ -178,26 +176,16 @@ def validate_partition(partition, dim: int) -> np.ndarray:
     return stack
 
 
-class _Member(np.ndarray):
-    """A read-only ``ProjectorFamily`` member.  ``checked`` is set only
-    on the arrays a family built; their views and copies lack it, and
-    arithmetic on members gives plain arrays."""
-
-    checked = False
-
-    def __array_wrap__(self, arr, context=None, return_scalar=False):
-        return arr[()] if return_scalar else arr  # not viewed as a member
-
-
 class ProjectorFamily(tuple):
     """A complete orthogonal projector family, checked once when built
     by ``validate_partition``, which raises InvalidPartition.  The stack
     it returns is kept as ``stack``, read-only, and each member is a
-    read-only view of its slice, so the members stay what was checked:
-    ``is_projector`` trusts them, and ``sample`` draws from them with no
-    further check.  ``projections`` takes ``stack``, or a slice of it,
-    to weigh every member at once, on a state of its own dimension or on
-    one factor of a larger one.
+    plain read-only view of its slice, so the members stay what was
+    checked and ``sample`` draws from them with no further check;
+    ``project`` checks a member as it checks any operator.
+    ``projections`` takes ``stack``, or a slice of it, to weigh every
+    member at once, on a state of its own dimension or on one factor of
+    a larger one.
     """
 
     stack: np.ndarray
@@ -207,12 +195,7 @@ class ProjectorFamily(tuple):
         shape = np.shape(ops[0]) if ops else ()
         stack = validate_partition(ops, shape[0] if shape else 0)
         stack.flags.writeable = False
-        members = []
-        for op in stack:
-            member = op.view(_Member)
-            member.checked = True
-            members.append(member)
-        family = super().__new__(cls, members)
+        family = super().__new__(cls, stack)
         family.stack = stack
         return family
 
@@ -234,13 +217,14 @@ def sample(
     state, family: ProjectorFamily, rng: TrialRng, factor: int = 0
 ) -> tuple[int, np.ndarray]:
     """Draw one outcome from a ``ProjectorFamily`` acting on ``factor``
-    of the state (``_apply``), checked when it was built; anything else,
-    or a family whose dimension does not divide the state's, raises
-    InvalidPartition.  One uniform is consumed per call: outcome = first
-    index whose cumulative weight exceeds the draw.  The weights are
-    made drawable by ``snap``, and ``_kernels.cumulative`` pins every
-    entry from the last positive weight on to 1, as in the batch
-    sampler, so analytically impossible outcomes are never produced.
+    of the state (``_apply``), checked when it was built and not again
+    here; anything else, or a family whose dimension does not divide the
+    state's, raises InvalidPartition.  One uniform is consumed per call:
+    outcome = first index whose cumulative weight exceeds the draw.  The
+    weights are made drawable by ``snap``, and ``_kernels.cumulative``
+    pins every entry from the last positive weight on to 1, as in the
+    batch sampler, so analytically impossible outcomes are never
+    produced.
     The drawn row of one ``projections`` product over the family's stack
     is divided by the square root of its weight, not projected again.
     The state is checked once per draw, by ``require_normalized``; the

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import toolate
 from toolate.protocol import Trine
 
 
@@ -22,3 +24,11 @@ def rand() -> np.random.Generator:
 def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return vec / np.linalg.norm(vec)
+
+
+def child_env() -> dict:
+    """The environment for a child Python that imports this checkout's
+    package whatever its working directory."""
+    src = str(Path(toolate.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}

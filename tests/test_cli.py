@@ -5,7 +5,6 @@ import importlib.metadata
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -13,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import child_env
 from oracles import records_text_reference
-import toolate
 from toolate import _kernels
 from toolate._kernels import CHUNK
 from toolate.cli import build_parser, main, records_path
@@ -609,12 +608,10 @@ def child_peak_rss_mb(argv: list[str], cwd: Path) -> float:
         "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
         "print(code, hwm.split()[1], file=sys.stderr)\n"
     )
-    src = str(Path(toolate.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", child],
         cwd=cwd,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
         capture_output=True,
         text=True,
         check=True,

@@ -6,12 +6,13 @@ import itertools
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import random_state
 from toolate import _kernels, qcore
+from toolate.audit import oracle_conditional_state
 from toolate.cli import main
 from toolate.experiments import ExperimentConfig, metadata, run_epr, run_toolate, sample_protocol
 from toolate.protocol import (
@@ -22,9 +23,11 @@ from toolate.protocol import (
     exit_labels,
     exit_projector,
     run_trial,
+    stage_conditionals,
     value_projectors,
 )
 from toolate.rng import TrialRng
+from toolate.spinlab import SpinValue
 
 BINDINGS = list(itertools.permutations(range(3)))
 TRIALS = 12
@@ -105,6 +108,39 @@ def test_factor_weights_match_the_pair_operators(angles):
                 want = np.clip([np.vdot(state, row).real for row in want_rows], 0.0, 1.0)
                 assert weights.tobytes() == want.tobytes(), (angles, binding)
                 assert np.array_equal(rows, want_rows)
+
+
+# a gap between neighbouring orientations, down to the 1e-9 degree that
+# labels resolve
+gaps = st.one_of(st.sampled_from([1e-9, 2e-9, 1e-6, 1e-4]), st.floats(1e-9, 180.0))
+# three orientations anywhere, or three close ones
+trine_degrees = st.one_of(
+    st.tuples(degrees, degrees, degrees),
+    st.builds(lambda a, g, h: (a, a + g, a + g + h), degrees, gaps, gaps),
+)
+
+
+# every trine a config accepts, however close its orientations: the
+# families it builds are projectors, and projecting with them never
+# fails the check on the operator
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(angles=trine_degrees)
+@example(angles=(0.0, 1e-9, 2e-9))
+@example(angles=(0.0, 1e-9, 240.0))
+@example(angles=(10.0, 10.0001, 10.0002))
+def test_accepted_trines_build_families_that_pass_the_projector_check(angles):
+    try:
+        ExperimentConfig("toolate", angles=angles)
+    except ValueError:
+        assume(False)
+    for binding in BINDINGS:
+        trine = ExperimentConfig("toolate", angles=angles, port_binding=binding).trine()
+        assert all(qcore.is_projector(m) for family in trine.families for m in family)
+        tables = stage_conditionals(trine)
+        for va in SpinValue:
+            for vb in SpinValue:
+                if tables.p_value_b[va, vb] > qcore.ZERO_PROB:
+                    oracle_conditional_state(va, vb, trine)
 
 
 # weights with zeros and subnormals, a row sum off 1 by a few ulps, and

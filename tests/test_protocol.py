@@ -26,7 +26,6 @@ from toolate.protocol import (
     composed_distribution,
     degree_text,
     degrees_of,
-    exit_basis,
     exit_labels,
     exit_vector,
     exit_amplitudes,
@@ -124,7 +123,7 @@ class TestExitVectors:
     @pytest.mark.parametrize("perm", ALL_PERMS)
     def test_kept_bases_are_read_only_and_match_the_entrywise_builders(self, degrees, perm):
         trine = Trine.from_degrees(degrees).permuted(perm)
-        basis = exit_basis(trine)
+        basis = trine.basis
         assert basis is trine.basis
         assert basis.tobytes() == independent_exit_basis(trine.angles_by_port).tobytes()
         with pytest.raises(ValueError):
@@ -137,7 +136,7 @@ class TestExitVectors:
         monkeypatch.setattr(protocol, "exit_vector", lambda t, lab: built.append(t) or real(t, lab))
         trine = Trine.from_degrees((0, 90, 200))
         for _ in range(3):
-            exit_basis(trine)
+            trine.basis
             value_projectors(trine, PARTICLE_B)
             stage_conditionals(trine)
             joint_distribution(JointState(trine.pair, trine))
@@ -162,7 +161,7 @@ class TestExitVectors:
         trine = Trine.from_degrees(degrees).permuted(perm)
         labels = exit_labels(trine)
         vecs = [exit_vector(trine, lab) for lab in labels]
-        assert np.array_equal(exit_basis(trine), np.column_stack(vecs))
+        assert np.array_equal(trine.basis, np.column_stack(vecs))
         for v in SpinValue:
             block = sum(np.outer(x, x.conj()) for x, lab in zip(vecs, labels) if lab.value == v)
             assert np.array_equal(value_projectors(trine, PARTICLE_A)[v], np.kron(block, np.eye(6)))
