@@ -10,6 +10,7 @@ cannot change results.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -295,7 +296,10 @@ def run_toolate(config: ExperimentConfig, records: BinaryIO | None = None) -> Es
     that the sampler builds: the flat (2, 2, 3, 3) index of [value_A,
     value_B, rank_A, rank_B].  Each chunk's cells are counted and, when
     a binary ``records`` stream is given, written to it while in hand as
-    ASCII JSON lines: the metadata line first, then ``records_text``.
+    ASCII JSON lines: the metadata line first, then ``records_text`` of
+    each block of the chunk's trials that share ``trial // 1000``.  A
+    block is at most 1000 lines, about 110 KB, so no write builds a
+    chunk-sized bytes and the allocator reuses the same memory.
     """
     if config.protocol != "toolate":
         raise ValueError("run_toolate needs protocol toolate")
@@ -314,7 +318,8 @@ def run_toolate(config: ExperimentConfig, records: BinaryIO | None = None) -> Es
     for start, seeds, cell in _outcome_chunks(tree, n, config.master_seed):
         counts += np.bincount(cell, minlength=36)
         if records is not None:
-            records.write(records_text(tails, start, seeds, cell))
+            for a, b in _thousands(start, len(cell)):
+                records.write(records_text(tails, start + a, seeds[a:b], cell[a:b]))
     ccounts = counts.reshape(2, 2, 3, 3)
     vcounts = ccounts.sum(axis=(2, 3))
 
@@ -359,19 +364,42 @@ def record_tails(trine: Trine) -> list[bytes]:
     ]
 
 
+def _thousands(start: int, n: int) -> list[tuple[int, int]]:
+    """Offsets (a, b) that cut trials start .. start + n - 1 at every
+    multiple of 1000: the blocks of trials that share ``trial // 1000``."""
+    edges = [start, *range(start // 1000 * 1000 + 1000, start + n, 1000), start + n]
+    return [(a - start, b - start) for a, b in zip(edges, edges[1:])]
+
+
+@functools.cache
+def _last_digits(padded: bool) -> tuple[bytes, ...]:
+    """Each trial's text after its thousand prefix, for 0 .. 999:
+    three digits after a prefix, and plain digits in the first thousand.
+    Built on first use, so importing the package formats nothing."""
+    return tuple((b"%03d" if padded else b"%d") % i for i in range(1000))
+
+
 def records_text(tails: list[bytes], start: int, seeds: np.ndarray, cells: np.ndarray) -> bytes:
     """One compact JSON line per trial, as ASCII bytes, for trials
-    start, start + 1, ... with these seeds and cells.  The chunk is one
-    bytes %-format: only the trial and the seed are formatted, the rest
-    of a line is its cell's pre-encoded entry in ``tails``.  Slicing
-    (trial, seed, tail) into one argument list is cheaper than chaining
-    one tuple per line."""
+    start, start + 1, ... with these seeds and cells.  Each block of
+    trials that share ``trial // 1000`` is one bytes %-format whose
+    format string carries the block's thousand prefix, so only the seed
+    is formatted with %d: a trial's last digits are its entry in a
+    table of 1000 pre-encoded strings, and the rest of a line is its
+    cell's pre-encoded entry in ``tails``.  Slicing (digits, seed, tail)
+    into one argument list is cheaper than chaining one tuple per line.
+    A range that spans thousands is formatted one block at a time."""
+    blocks = _thousands(start, len(seeds))
+    if len(blocks) > 1:
+        return b"".join(records_text(tails, start + a, seeds[a:b], cells[a:b]) for a, b in blocks)
     n = len(seeds)
+    thousand, low = divmod(start, 1000)
+    prefix = b"%d" % thousand if thousand else b""
     args = [None] * (3 * n)
-    args[0::3] = range(start, start + n)
+    args[0::3] = _last_digits(thousand > 0)[low : low + n]
     args[1::3] = seeds.tolist()
     args[2::3] = map(tails.__getitem__, cells.tolist())
-    return (b'{"trial":%d,"seed":%d,%s' * n) % tuple(args)
+    return ((b'{"trial":' + prefix + b'%s,"seed":%d,%s') * n) % tuple(args)
 
 
 # --- interference and erasure runs ---------------------------------------------

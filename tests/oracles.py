@@ -4,9 +4,10 @@ Nothing here reuses the package's numerics for the quantity it checks.
 Eigenvalues come from a hand-rolled Jacobi sweep instead of LAPACK;
 correlations come from full projector matrices instead of the package's
 amplitude contraction; the outcome records are serialized with one
-``json.dumps`` per trial and seeds from the scalar ``rng`` route; the
-batch samplers are the earlier out-of-place stream with whole-row
-gather-and-compare and ``searchsorted`` picks; the exit bases and the
+``json.dumps`` per trial and seeds from the scalar ``rng`` route, or
+formatted whole with every trial number a ``%d``; the batch samplers
+are the earlier out-of-place stream with whole-row gather-and-compare
+and ``searchsorted`` picks; the exit bases and the
 splitter are written entry by entry; a projector family is checked
 member by member.
 Expected values frozen into the tests were computed with these routines.
@@ -232,6 +233,14 @@ def records_text_reference(orientations, outcomes, meta) -> str:
             )
         )
     return "\n".join(lines) + "\n"
+
+
+def records_text_one_format(tails, start, seeds, cells) -> bytes:
+    """The records of trials start, start + 1, ... as one bytes
+    %-format over the whole range, every trial formatted with %d: the
+    form that wrote one format per chunk."""
+    lines = zip(range(start, start + len(seeds)), seeds.tolist(), [tails[c] for c in cells.tolist()])
+    return (b'{"trial":%d,"seed":%d,%s' * len(seeds)) % tuple(x for line in lines for x in line)
 
 
 # --- the batch samplers -----------------------------------------------------------

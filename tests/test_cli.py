@@ -568,11 +568,11 @@ def test_chunk_size_changes_no_byte(tmp_path, monkeypatch, capsys, chunk):
 
 
 def test_records_run_holds_a_bounded_python_heap(tmp_path):
-    # 300000 trials make 33 MB of records.  Written while sampling, one
-    # chunk at a time, the traced peak is about one chunk's format
-    # arguments and bytes: 5.3 MB at 16384-trial chunks, 20.6 MB at
-    # 65536.  With a whole outcome array it was 31 MB, and with the whole
-    # text built first, 127 MB.
+    # 300000 trials make 33 MB of records.  Written while sampling, a
+    # thousand-trial block at a time, the traced peak is 1.3 MB, as for a
+    # run without --out.  One format per chunk peaked at 5.2 MB at
+    # 16384-trial chunks and 20.6 MB at 65536; a whole outcome array at
+    # 31 MB, and the whole text built first at 127 MB.
     tracemalloc.start()
     try:
         code = main(["toolate", "--trials", "300000", "--out", str(tmp_path / "run.csv")])
@@ -600,13 +600,17 @@ def test_table_run_holds_a_bounded_python_heap():
 
 # Linux carries the forking process's peak into a child's ru_maxrss across
 # exec, so the child reads the peak of its own image, VmHWM, instead
-def child_peak_rss_mb(argv: list[str], cwd: Path) -> float:
+def child_run(argv: list[str], cwd: Path) -> tuple[float, int]:
+    """Run ``main(argv)`` in a child process: its peak RSS in MB, and
+    the minor page faults taken inside ``main``."""
     child = (
-        "import sys\n"
+        "import resource, sys\n"
         "from toolate.cli import main\n"
+        "faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         f"code = main({argv!r})\n"
+        "faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults\n"
         "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
-        "print(code, hwm.split()[1], file=sys.stderr)\n"
+        "print(code, hwm.split()[1], faults, file=sys.stderr)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", child],
@@ -616,9 +620,9 @@ def child_peak_rss_mb(argv: list[str], cwd: Path) -> float:
         text=True,
         check=True,
     )
-    code, peak_kb = proc.stderr.split()
+    code, peak_kb, faults = proc.stderr.split()
     assert code == "0"
-    return int(peak_kb) / 1024
+    return int(peak_kb) / 1024, int(faults)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
@@ -626,14 +630,26 @@ def test_table_run_peak_rss_does_not_grow_with_trials(tmp_path):
     # the whole process, numpy included, peaks near 32 MB at any trial
     # count (36 MB at 65536-trial chunks); a (4e6, 4) int64 outcome array
     # alone would be 128 MB
-    assert child_peak_rss_mb(["toolate", "--trials", "4000000"], tmp_path) < 100
+    assert child_run(["toolate", "--trials", "4000000"], tmp_path)[0] < 100
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
 def test_records_run_peak_rss_stays_near_one_chunk(tmp_path):
-    # 300000 trials make 33 MB of records, written a chunk at a time: the
-    # whole process peaks near 36 MB at 16384-trial chunks and 57 MB at
-    # 65536, where each chunk's records and their format arguments
-    # came to 20 MB
+    # 300000 trials make 33 MB of records, written a thousand-trial block
+    # at a time: the whole process peaks near 32 MB, as a run without
+    # --out does.  One bytes per 16384-trial chunk peaked near 36 MB, and
+    # per 65536-trial chunk near 57 MB, where each chunk's records and
+    # their format arguments came to 20 MB
     argv = ["toolate", "--trials", "300000", "--out", "run.csv"]
-    assert child_peak_rss_mb(argv, tmp_path) < 48
+    assert child_run(argv, tmp_path)[0] < 42
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_records_run_page_faults_do_not_grow_with_trials(tmp_path):
+    # written in blocks of at most 1000 lines, about 110 KB, the records
+    # reuse the same memory: about 150 minor faults inside main at either
+    # trial count.  A new 1.8 MB bytes per 16384-trial chunk took about
+    # 3.8k faults at 62500 trials and 58k at 1e6
+    small = child_run(["toolate", "--trials", "62500", "--out", "run.csv"], tmp_path)[1]
+    large = child_run(["toolate", "--trials", "1000000", "--out", "run.csv"], tmp_path)[1]
+    assert abs(large - small) < 1000, (small, large)

@@ -51,3 +51,23 @@ def test_orientations_whose_labels_coincide_are_a_config_error(tmp_path, argv):
     assert_config_error(proc)
     assert proc.stdout == ""
     assert list(tmp_path.iterdir()) == []  # neither the table nor its records file
+
+
+def run_records(trials: int, cwd: Path) -> bytes:
+    """``toolate toolate --trials trials --seed 1 --out run.csv``, which
+    must exit 0: its records file, after checking the table is not empty."""
+    proc = console(["toolate", "--trials", str(trials), "--seed", "1", "--out", "run.csv"], cwd)
+    assert proc.returncode == 0, proc.stderr
+    assert (cwd / "run.csv").stat().st_size > 0
+    return (cwd / "run.records.jsonl").read_bytes()
+
+
+def test_the_table_and_records_files(tmp_path):
+    assert run_records(1000, tmp_path).count(b"\n") == 1001  # the metadata line and 1000 records
+
+
+def test_the_records_file_across_chunks(tmp_path):
+    # 131073 trials are eight 16384-trial chunks and one trial more
+    records = run_records(131073, tmp_path)
+    assert records.count(b"\n") == 131074
+    assert records.splitlines()[-1].startswith(b'{"trial":131072,')

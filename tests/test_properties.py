@@ -11,10 +11,19 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import random_state
+from oracles import records_text_one_format
 from toolate import _kernels, qcore
 from toolate.audit import oracle_conditional_state
 from toolate.cli import main
-from toolate.experiments import ExperimentConfig, metadata, run_epr, run_toolate, sample_protocol
+from toolate.experiments import (
+    ExperimentConfig,
+    metadata,
+    record_tails,
+    records_text,
+    run_epr,
+    run_toolate,
+    sample_protocol,
+)
 from toolate.protocol import (
     PARTICLE_A,
     PARTICLE_B,
@@ -298,6 +307,31 @@ def test_epr_and_toolate_bytes_do_not_depend_on_the_chunk_size(chunk, chunks, of
     want = sampled_bytes(trials, seed)
     with chunk_size(chunk):
         assert sampled_bytes(trials, seed) == want
+
+
+# first trials at and around the thousands, the default chunk and each
+# new digit count, and ranges up to two and a half blocks long
+RECORD_STARTS = sorted(
+    {0, 1, 998, 999, 1000, 16383, 16384} | {10**k + d for k in range(1, 13) for d in (-1, 0)}
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    start=st.one_of(st.sampled_from(RECORD_STARTS), st.integers(0, 10**13)),
+    n=st.integers(1, 2500),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(start=0, n=2500, seed=0)
+@example(start=999, n=2, seed=1)
+@example(start=998, n=1003, seed=2)
+@example(start=10**12 - 1, n=2, seed=3)
+def test_records_text_is_the_one_format_form(start, n, seed):
+    rng = np.random.default_rng(seed)
+    seeds = rng.integers(0, 2**64 - 1, size=n, dtype=np.uint64, endpoint=True)
+    cells = rng.integers(0, 36, size=n)
+    tails = record_tails(Trine.default())
+    assert records_text(tails, start, seeds, cells) == records_text_one_format(tails, start, seeds, cells)
 
 
 # argvs from a token grammar: a subcommand or none (a bad one among
