@@ -118,14 +118,13 @@ class ExperimentConfig:
             raise ValueError("this protocol needs exactly four angles (a, a', b, b')")
         if not chsh and len(angles) != 3:
             raise ValueError("this protocol needs exactly three angles")
-        if len(set(angles)) != len(angles):
-            raise ValueError("angles must be distinct")
         # Trine raises if two orientations coincide modulo 360; labels and
         # records name each by degrees_of, so two must not share one either
         if not chsh and len(set(map(degrees_of, Trine.from_degrees(angles).angles_by_port))) < 3:
             raise ValueError("orientations must differ in degrees rounded to 9 decimals")
-        # epr labels each correlation by its two settings' degree_text
-        if self.protocol == "epr_standard":
+        # a CHSH label names one setting per side by its degree_text, so an
+        # A setting may equal a B setting but not the other one on its side
+        if chsh:
             a, a2, b, b2 = (degree_text(math.radians(x)) for x in angles)
             if a == a2 or b == b2:
                 raise ValueError("settings on one side must differ in degrees rounded to 9 decimals")
@@ -381,17 +380,15 @@ def _last_digits(padded: bool) -> tuple[bytes, ...]:
 
 def records_text(tails: list[bytes], start: int, seeds: np.ndarray, cells: np.ndarray) -> bytes:
     """One compact JSON line per trial, as ASCII bytes, for trials
-    start, start + 1, ... with these seeds and cells.  Each block of
-    trials that share ``trial // 1000`` is one bytes %-format whose
-    format string carries the block's thousand prefix, so only the seed
-    is formatted with %d: a trial's last digits are its entry in a
-    table of 1000 pre-encoded strings, and the rest of a line is its
-    cell's pre-encoded entry in ``tails``.  Slicing (digits, seed, tail)
-    into one argument list is cheaper than chaining one tuple per line.
-    A range that spans thousands is formatted one block at a time."""
-    blocks = _thousands(start, len(seeds))
-    if len(blocks) > 1:
-        return b"".join(records_text(tails, start + a, seeds[a:b], cells[a:b]) for a, b in blocks)
+    start, start + 1, ... with these seeds and cells.  The trials must
+    share ``trial // 1000``, as each block of ``_thousands`` does: a
+    range that crosses a multiple of 1000 raises ValueError.  The block
+    is one bytes %-format whose format string carries its thousand
+    prefix, so only the seed is formatted with %d: a trial's last digits
+    are its entry in a table of 1000 pre-encoded strings, and the rest
+    of a line is its cell's pre-encoded entry in ``tails``.  Slicing
+    (digits, seed, tail) into one argument list is cheaper than chaining
+    one tuple per line."""
     n = len(seeds)
     thousand, low = divmod(start, 1000)
     prefix = b"%d" % thousand if thousand else b""

@@ -287,9 +287,10 @@ def test_orientations_whose_labels_coincide_are_refused(tmp_path, monkeypatch, c
     assert list(tmp_path.iterdir()) == []  # no run.csv, no records
 
 
-def test_an_a_setting_may_share_its_label_with_a_b_setting(capsys):
+@pytest.mark.parametrize("angles", ["0,90,1e-10,45", "0,90,0,45"])
+def test_an_a_setting_may_share_its_label_with_a_b_setting(capsys, angles):
     # each label names one A and one B setting, so E(0,0) is still one row
-    assert main(["epr", "--angles", "0,90,1e-10,45", "--trials", "0"]) == 0
+    assert main(["epr", "--angles", angles, "--trials", "0"]) == 0
     labels = [line.rsplit(",", 4)[0] for line in capsys.readouterr().out.splitlines()[2:6]]
     assert labels == ["E(0,0)", "E(0,45)", "E(90,0)", "E(90,45)"]
 
@@ -323,6 +324,8 @@ def test_bad_port_binding(capsys):
         (None, ["toolate", "--angles", "0,360,120"], "distinct"),
         (None, ["epr", "--angles", "0,1e-10,45,135", "--trials", "0"], "settings on one side"),
         (None, ["epr", "--angles", "0,90,45,45.0000000001"], "settings on one side"),
+        (None, ["lhv", "--angles", "0,0,45,135"], "settings on one side"),
+        (None, ["lhv", "--angles", "0,1e-10,45,135"], "settings on one side"),
         (None, ["toolate", "--angles", "0,,120,240"], "error: argument --angles:"),
         (None, ["toolate", "--port-binding", "2,,0,1"], "error: argument --port-binding:"),
         (None, ["toolate", "--angles", ","], "error: argument --angles:"),
@@ -354,6 +357,8 @@ def test_bad_port_binding(capsys):
         "toolate-orientations-equal-modulo-360",
         "epr-a-labels-coincide",
         "epr-b-labels-coincide",
+        "lhv-a-settings-equal",
+        "lhv-a-labels-coincide",
         "angles-empty-part",
         "port-binding-empty-part",
         "angles-only-a-comma",

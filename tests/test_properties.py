@@ -6,6 +6,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
@@ -17,6 +18,7 @@ from toolate.audit import oracle_conditional_state
 from toolate.cli import main
 from toolate.experiments import (
     ExperimentConfig,
+    _thousands,
     metadata,
     record_tails,
     records_text,
@@ -316,6 +318,13 @@ RECORD_STARTS = sorted(
 )
 
 
+def random_records(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """n random trial seeds and record cells."""
+    rng = np.random.default_rng(seed)
+    seeds = rng.integers(0, 2**64 - 1, size=n, dtype=np.uint64, endpoint=True)
+    return seeds, rng.integers(0, 36, size=n)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(
     start=st.one_of(st.sampled_from(RECORD_STARTS), st.integers(0, 10**13)),
@@ -327,11 +336,18 @@ RECORD_STARTS = sorted(
 @example(start=998, n=1003, seed=2)
 @example(start=10**12 - 1, n=2, seed=3)
 def test_records_text_is_the_one_format_form(start, n, seed):
-    rng = np.random.default_rng(seed)
-    seeds = rng.integers(0, 2**64 - 1, size=n, dtype=np.uint64, endpoint=True)
-    cells = rng.integers(0, 36, size=n)
+    seeds, cells = random_records(n, seed)
     tails = record_tails(Trine.default())
-    assert records_text(tails, start, seeds, cells) == records_text_one_format(tails, start, seeds, cells)
+    # block by block, as run_toolate writes them
+    blocks = (records_text(tails, start + a, seeds[a:b], cells[a:b]) for a, b in _thousands(start, n))
+    assert b"".join(blocks) == records_text_one_format(tails, start, seeds, cells)
+
+
+@pytest.mark.parametrize("start, n", [(999, 2), (0, 1001), (5001, 1000)])
+def test_records_text_refuses_a_range_that_crosses_a_thousand(start, n):
+    seeds, cells = random_records(n, 0)
+    with pytest.raises(ValueError):
+        records_text(record_tails(Trine.default()), start, seeds, cells)
 
 
 # argvs from a token grammar: a subcommand or none (a bad one among
