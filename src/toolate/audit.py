@@ -29,7 +29,6 @@ from . import qcore
 from .protocol import (
     PARTICLE_A,
     PARTICLE_B,
-    ExitLabel,
     JointState,
     Trine,
     exit_amplitudes,
@@ -41,21 +40,19 @@ from .spinlab import SpinValue
 ZERO_CHECK_TOL = 1e-14
 
 
+def _normalized(raw: np.ndarray) -> tuple[np.ndarray, float]:
+    # the expression as written, normalized, and its raw norm
+    literal_norm = float(np.linalg.norm(raw))
+    return raw / literal_norm, literal_norm
+
+
 def literal_value_state(value: SpinValue, trine: Trine) -> tuple[np.ndarray, float]:
     """Uniform superposition of one value across the three exits.
 
     Returns the normalized 6-dim state and the norm of the expression
     as written with its 1/sqrt(3) prefactor (expected 1).
     """
-    raw = trine.basis[:, value::2].sum(axis=1) / math.sqrt(3.0)
-    literal_norm = float(np.linalg.norm(raw))
-    return raw / literal_norm, literal_norm
-
-
-def _pair_product(value_a: SpinValue, value_b: SpinValue, trine: Trine) -> np.ndarray:
-    single_a, _ = literal_value_state(value_a, trine)
-    single_b, _ = literal_value_state(value_b, trine)
-    return np.kron(single_a, single_b)
+    return _normalized(trine.basis[:, value::2].sum(axis=1) / math.sqrt(3.0))
 
 
 def _same_orientation_term(value: SpinValue, trine: Trine) -> np.ndarray:
@@ -73,12 +70,14 @@ def literal_pair_state(trine: Trine) -> tuple[np.ndarray, float]:
     zero amplitude on same-orientation exit pairs and magnitude
     1/sqrt(6) on the six unequal-orientation pairs.
     """
-    raw = (
-        _pair_product(SpinValue.UP, SpinValue.UP, trine)
-        - _same_orientation_term(SpinValue.UP, trine) / 3.0
-    ) / math.sqrt(6.0)
-    literal_norm = float(np.linalg.norm(raw))
-    return raw / literal_norm, literal_norm
+    return _literal_pair([literal_value_state(v, trine) for v in SpinValue], trine)
+
+
+def _literal_pair(singles, trine: Trine) -> tuple[np.ndarray, float]:
+    up, _ = singles[SpinValue.UP]
+    return _normalized(
+        (np.kron(up, up) - _same_orientation_term(SpinValue.UP, trine) / 3.0) / math.sqrt(6.0)
+    )
 
 
 def literal_joint_state(trine: Trine) -> tuple[np.ndarray, float]:
@@ -89,15 +88,18 @@ def literal_joint_state(trine: Trine) -> tuple[np.ndarray, float]:
     uniform-magnitude superposition of the 30 exit pairs that are not
     same-orientation same-value.
     """
+    return _literal_joint([literal_value_state(v, trine) for v in SpinValue], trine)
+
+
+def _literal_joint(singles, trine: Trine) -> tuple[np.ndarray, float]:
     raw = np.zeros(36, dtype=complex)
     for va in SpinValue:
         for vb in SpinValue:
-            raw += _pair_product(va, vb, trine)
+            raw += np.kron(singles[va][0], singles[vb][0])
     for value in SpinValue:
         raw -= _same_orientation_term(value, trine) / 3.0
     raw /= math.sqrt(30.0)
-    literal_norm = float(np.linalg.norm(raw))
-    return raw / literal_norm, literal_norm
+    return _normalized(raw)
 
 
 def oracle_value_state(value: SpinValue, trine: Trine) -> np.ndarray:
@@ -146,13 +148,11 @@ class VerificationReport:
         return all(row["pass"] for row in self.zero_checks)
 
 
-def _zero_check_rows(
-    name: str, amps: np.ndarray, trine: Trine, labels: list[ExitLabel]
-) -> list[dict[str, Any]]:
+def _zero_check_rows(name: str, amps: np.ndarray, texts: list[str]) -> list[dict[str, Any]]:
     # the labels are distinct, so same orientation and same value is the diagonal
     rows = []
-    for i, label in enumerate(labels):
-        text, mag = label.text(trine), float(abs(amps[i, i]))
+    for i, text in enumerate(texts):
+        mag = float(abs(amps[i, i]))
         rows.append(
             {"label": f"{name}[{text} & {text}]", "magnitude": mag, "pass": mag <= ZERO_CHECK_TOL}
         )
@@ -166,11 +166,12 @@ def verify_states(trine: Trine) -> VerificationReport:
     Deterministic: two invocations produce identical reports.  The
     report states what was measured; it asserts nothing.
     """
-    labels = exit_labels(trine)
+    texts = [label.text(trine) for label in exit_labels(trine)]
 
-    single, single_norm = literal_value_state(SpinValue.UP, trine)
-    pair, pair_norm = literal_pair_state(trine)
-    joint, joint_norm = literal_joint_state(trine)
+    singles = [literal_value_state(v, trine) for v in SpinValue]  # once for all three forms
+    single, single_norm = singles[SpinValue.UP]
+    pair, pair_norm = _literal_pair(singles, trine)
+    joint, joint_norm = _literal_joint(singles, trine)
 
     cond_upup, _ = oracle_conditional_state(SpinValue.UP, SpinValue.UP, trine)
     pre_value = JointState(trine.pair, trine)
@@ -196,14 +197,14 @@ def verify_states(trine: Trine) -> VerificationReport:
     amps = exit_amplitudes(pre_value)
     amplitude_table = [
         {
-            "exit_A": la.text(trine),
-            "exit_B": lb.text(trine),
+            "exit_A": text_a,
+            "exit_B": text_b,
             "re": float(amps[i, j].real),
             "im": float(amps[i, j].imag),
             "magnitude": float(abs(amps[i, j])),
         }
-        for i, la in enumerate(labels)
-        for j, lb in enumerate(labels)
+        for i, text_a in enumerate(texts)
+        for j, text_b in enumerate(texts)
     ]
 
     # a vdot per contiguous row: strided rows or a matmul move the printed bits
@@ -213,9 +214,9 @@ def verify_states(trine: Trine) -> VerificationReport:
     joint_amps = np.array([np.vdot(pair, joint) for pair in exit_pairs]).reshape(6, 6)
     cond_amps = exit_amplitudes(cond_upup)
     zero_checks = (
-        _zero_check_rows("literal_joint", joint_amps, trine, labels)
-        + _zero_check_rows("pre_value_oracle", amps, trine, labels)
-        + _zero_check_rows("conditional_up_up", cond_amps, trine, labels)
+        _zero_check_rows("literal_joint", joint_amps, texts)
+        + _zero_check_rows("pre_value_oracle", amps, texts)
+        + _zero_check_rows("conditional_up_up", cond_amps, texts)
     )
 
     notes = [

@@ -290,41 +290,39 @@ def composed_distribution(state: JointState, order: Sequence[str]) -> np.ndarray
     particle) with each particle's value before its orientation, each
     measured with the families of the state's trine on that particle's
     factor of the pair.  Used as the ordering-invariance oracle against
-    ``joint_distribution``.  Each
-    branch weighs every member of its stage's family in one
-    ``qcore.projections`` product, all six exits for an orientation
-    stage.  A child branch collapses by dividing its projected row by the
-    square root of its weight; a last-stage branch adds its weight to the
-    table and collapses nothing.
+    ``joint_distribution``.  One stage at a time, every live branch's
+    state goes into one stacked ``qcore.projections`` product over the
+    stage's family, all six exits for an orientation stage; a member of
+    weight at or below 1e-12 is not a branch.  The others collapse in one
+    stacked division of their rows by the square roots of their weights;
+    a last-stage leaf adds its weight to its own cell and collapses nothing.
     """
     if sorted(order) != ["oA", "oB", "vA", "vB"]:
         raise ValueError("order must contain vA, vB, oA, oB exactly once")
     if order.index("vA") > order.index("oA") or order.index("vB") > order.index("oB"):
         raise ValueError("each particle's value stage must precede its orientation stage")
 
-    labels = exit_labels(state.trine)
     values, exits = state.trine.families
-    table = np.zeros((PARTICLE_DIM, PARTICLE_DIM))
-    # depth-first over outcome branches; each (exit_A, exit_B) leaf is
-    # reached by exactly one branch, so the visiting order is immaterial
-    pending = [(0, state.vec, 1.0, {})]
-    while pending:
-        stage, vec, weight, outcome = pending.pop()
-        tag = order[stage]
+    vecs = state.vec[None]
+    weights = np.ones(1)
+    outcome: dict[str, np.ndarray] = {}  # each stage's outcome index, per branch
+    for stage, tag in enumerate(order, 1):
         family = exits if tag[0] == "o" else values
-        probs, rows = qcore.projections(family.stack, vec, "AB".index(tag[1]))
-        for name, prob in enumerate(probs):
-            if prob <= qcore.ZERO_PROB:
-                continue
-            if tag[0] == "o" and labels[name].value != outcome["v" + tag[1]]:
-                # exits conflicting with the recorded value carry zero
-                # weight; reaching here would mean a broken collapse
-                raise AssertionError("nonzero weight on a value-inconsistent exit")
-            reached = {**outcome, tag: name}
-            if stage + 1 == len(order):
-                table[reached["oA"], reached["oB"]] += weight * prob
-            else:
-                pending.append((stage + 1, rows[name] / np.sqrt(prob), weight * prob, reached))
+        probs, rows = qcore.projections(family.stack, vecs, "AB".index(tag[1]))
+        branch, name = np.nonzero(probs > qcore.ZERO_PROB)
+        # exit 2*r + v has value v; exits conflicting with the recorded
+        # value carry zero weight, so one here would mean a broken collapse
+        if tag[0] == "o" and (name % 2 != outcome["v" + tag[1]][branch]).any():
+            raise AssertionError("nonzero weight on a value-inconsistent exit")
+        outcome = {t: picks[branch] for t, picks in outcome.items()}
+        outcome[tag] = name
+        prob = probs[branch, name]
+        weights = weights[branch] * prob
+        if stage < len(order):
+            vecs = rows[branch, name] / np.sqrt(prob)[:, None]
+    table = np.zeros((PARTICLE_DIM, PARTICLE_DIM))
+    # each (exit_A, exit_B) leaf is reached by exactly one branch
+    table[outcome["oA"], outcome["oB"]] += weights
     return table
 
 
@@ -350,14 +348,15 @@ class StageConditionals:
 def stage_conditionals(trine: Trine) -> StageConditionals:
     """The stage tables of ``trine``, by projecting its prepared pair
     ``trine.pair`` with ``trine.families``, each particle's stages on
-    its own factor of the pair.  The value stages collapse through
-    ``qcore.project``.  Each orientation stage projects only onto
-    the exits of the value drawn before it, ``stack[v::2]``, in one
-    ``qcore.projections`` product, and A's exit collapses reuse its
-    projected rows.  A value pair whose joint weight is at or below
-    1e-12 keeps weight 0 and all-zero orientation rows, as an
-    orientation of weight 0 does; that includes a B value that
-    ``qcore.project`` refuses to collapse onto after A's collapse."""
+    its own factor of the pair.  The six value stages collapse through
+    ``qcore.project``.  Each orientation stage projects only onto the
+    exits of the value drawn before it, ``stack[v::2]``, in one stacked
+    ``qcore.projections`` product per value over the states of that
+    value, and A's exit collapses reuse its projected rows.  A value
+    pair whose joint weight is at or below 1e-12 keeps weight 0 and
+    all-zero orientation rows, as an orientation of weight 0 does; that
+    includes a B value that ``qcore.project`` refuses to collapse onto
+    after A's collapse."""
     values, exits = trine.families
 
     p_value_a = np.zeros(2)
@@ -365,6 +364,9 @@ def stage_conditionals(trine: Trine) -> StageConditionals:
     p_orient_a = np.zeros((2, 2, PATH_DIM))
     p_orient_b = np.zeros((2, 2, PATH_DIM, PATH_DIM))
 
+    # the states that reach each orientation stage, by the value it projects on
+    at_a = {va: {} for va in SpinValue}
+    at_b = {vb: {} for vb in SpinValue}
     for va in SpinValue:
         prob_a, state_a = qcore.project(values[va], trine.pair, PARTICLE_A)
         p_value_a[va] = prob_a
@@ -376,15 +378,22 @@ def stage_conditionals(trine: Trine) -> StageConditionals:
             if prob_a * prob_b <= qcore.ZERO_PROB:
                 continue  # so does one whose joint weight is rounding dust
             p_value_b[va, vb] = prob_b
-            # rank r of value va is exit 2*r + va
-            probs_a, rows_a = qcore.projections(exits.stack[va::2], state_b, PARTICLE_A)
-            p_orient_a[va, vb] = qcore.snap(probs_a)
-            for ra in range(PATH_DIM):
-                if p_orient_a[va, vb, ra] > 0.0:
-                    state_ra = rows_a[ra] / np.sqrt(probs_a[ra])
-                    probs_b, _ = qcore.projections(exits.stack[vb::2], state_ra, PARTICLE_B)
-                    p_orient_b[va, vb, ra] = qcore.snap(probs_b)
+            at_a[va][vb] = state_b
         p_value_b[va] = qcore.snap(p_value_b[va])
+
+    # rank r of value v is exit 2*r + v
+    for va, states in at_a.items():
+        stacked = np.array([*states.values()]).reshape(-1, JOINT_DIM)
+        probs, rows = qcore.projections(exits.stack[va::2], stacked, PARTICLE_A)
+        for vb, weights, rows_a in zip(states, probs, rows):
+            p_orient_a[va, vb] = qcore.snap(weights)
+            for ra in p_orient_a[va, vb].nonzero()[0]:
+                at_b[vb][va, ra] = rows_a[ra] / np.sqrt(weights[ra])
+    for vb, states in at_b.items():
+        stacked = np.array([*states.values()]).reshape(-1, JOINT_DIM)
+        probs, _ = qcore.projections(exits.stack[vb::2], stacked, PARTICLE_B)
+        for (va, ra), weights in zip(states, probs):
+            p_orient_b[va, vb, ra] = qcore.snap(weights)
     return StageConditionals(qcore.snap(p_value_a), p_value_b, p_orient_a, p_orient_b)
 
 

@@ -36,7 +36,8 @@ class InvalidPartition(Exception):
 
 def as_state(vec) -> np.ndarray:
     arr = np.asarray(vec, dtype=complex).reshape(-1)
-    if not np.isfinite(arr.view(float)).all():
+    # the ufunc that ndarray.all reaches through a Python-level wrapper
+    if not np.logical_and.reduce(np.isfinite(arr)):
         raise ValueError("state vector has non-finite amplitudes")
     return arr
 
@@ -86,31 +87,37 @@ def is_projector(op) -> bool:
 
 
 def _born_weights(arr: np.ndarray, rows) -> np.ndarray:
-    """Re <arr|row> for each projected row, one ``np.vdot`` per row: a
-    batched product (``rows @ arr.conj()``, ``einsum``) rounds
-    differently.  One clip then removes rounding dust outside [0, 1]: the
-    array method, the same ufunc as ``np.clip`` without its wrappers, so
-    a weight of -0.0 stays -0.0."""
-    return np.array([np.vdot(arr, row).real for row in rows]).clip(0.0, 1.0)
+    """Re <state|row> for each projected row of one state, or of each
+    state of a (s, n) stack, one ``np.vdot`` per (state, row): a batched
+    product (``rows @ arr.conj()``, ``einsum``) rounds differently.  One
+    clip then removes rounding dust outside [0, 1]: the array method,
+    the same ufunc as ``np.clip`` without its wrappers, so a weight of
+    -0.0 stays -0.0."""
+    if arr.ndim == 1:
+        return np.array([np.vdot(arr, row).real for row in rows]).clip(0.0, 1.0)
+    weights = [np.vdot(state, row).real for state, block in zip(arr, rows) for row in block]
+    return np.array(weights).reshape(rows.shape[:-1]).clip(0.0, 1.0)
 
 
 def _apply(stack: np.ndarray, arr: np.ndarray, factor: int) -> np.ndarray:
     """Each d x d operator of a (k, d, d) stack applied to one factor of
-    ``arr``, as rows of a C-contiguous (k, arr.size) array.  Factor 0 is
-    the leading d dimensions: one product of the k * d operator rows with
-    ``arr.reshape(d, -1)``, bit for bit ``stack @ arr`` on a d-dim state.
-    Factor 1 is the trailing d: one matrix-vector product per operator
-    and leading index.  On the pair these give the Born weights of
-    kron(P, I) and kron(I, P) bit for bit; B's one-product form,
-    ``M @ P.T``, does not."""
+    ``arr``, a state (n,) or a stack (s, n), as C-contiguous rows of shape
+    ``arr.shape[:-1] + (k, n)``, in one broadcast product whose slice for
+    a state is what a one-state call gives.  Factor 0 is the leading d
+    dimensions: the k * d operator rows times the state as a (d, n / d)
+    matrix, bit for bit ``stack @ arr`` on a d-dim state.  Factor 1 is
+    the trailing d: one matrix-vector product per operator and leading
+    index.  On the pair these give the Born weights of kron(P, I) and
+    kron(I, P) bit for bit; B's one-product form, ``M @ P.T``, does not."""
     k, d, _ = stack.shape
+    lead, n = arr.shape[:-1], arr.shape[-1]
     if factor == 0:
-        rows = stack.reshape(-1, d) @ arr.reshape(d, -1)
+        rows = stack.reshape(-1, d) @ arr.reshape(lead + (d, n // d))
     elif factor == 1:
-        rows = stack[:, None] @ arr.reshape(-1, d, 1)
+        rows = stack[:, None] @ arr.reshape(lead + (1, n // d, d, 1))
     else:
         raise ValueError("factor must be 0 (leading) or 1 (trailing)")
-    return rows.reshape(k, arr.size)
+    return rows.reshape(lead + (k, n))
 
 
 def projection_probability(proj, state, factor: int = 0) -> float:
@@ -123,17 +130,21 @@ def projections(stack, state, factor: int = 0) -> tuple[np.ndarray, np.ndarray]:
     acting on ``factor`` of the state (``_apply``).
 
     ``stack`` is a (k, d, d) array, such as a family's ``stack`` or a
-    slice of it.  One product gives all k projected vectors as rows;
-    weight i equals ``projection_probability`` of member i bit for bit.
-    The state is checked once, by ``as_state``, not per member;
-    ``sample``, which has checked it already, calls ``_projections``
-    directly.
+    slice of it.  A state (n,) gives (k,) weights and (k, n) rows; a
+    stack of states (s, n), (0, n) too, gives (s, k) and (s, k, n), each
+    state's slice bit for bit its one-state call.  One product gives all
+    projected vectors as rows; weight i equals ``projection_probability``
+    of member i bit for bit.  Every amplitude is checked by one
+    ``as_state``, not per member; ``sample``, which has checked its
+    state already, calls ``_projections`` directly.
     """
-    return _projections(np.asarray(stack, dtype=complex), as_state(state), factor)
+    arr = np.asarray(state, dtype=complex)
+    states = as_state(arr).reshape(arr.shape if arr.ndim == 2 else -1)
+    return _projections(np.asarray(stack, dtype=complex), states, factor)
 
 
 def _projections(stack: np.ndarray, arr: np.ndarray, factor: int) -> tuple[np.ndarray, np.ndarray]:
-    # for a complex stack and a state that as_state has returned
+    # for a complex stack and states that as_state has checked
     rows = _apply(stack, arr, factor)
     return _born_weights(arr, rows), rows
 
@@ -248,23 +259,25 @@ def reduced_density(state, dims, keep) -> np.ndarray:
     """Partial trace of a pure state down to the ``keep`` factors.
 
     ``keep`` is a set of factor indices into ``dims``; the kept factors
-    stay in their original relative order.
+    stay in their original relative order.  Leading axes of ``state``
+    stack states, checked by one ``as_state``, and their density matrices.
     """
-    arr = as_state(state)
+    arr = np.asarray(state, dtype=complex)
+    flat = as_state(arr)
+    lead, n = arr.shape[:-1], (arr.shape[-1] if arr.ndim else 1)
     dims = tuple(int(d) for d in dims)
-    if int(np.prod(dims)) != arr.size:
-        raise ValueError(f"layout {dims} does not match state of dim {arr.size}")
+    if int(np.prod(dims)) != n:
+        raise ValueError(f"layout {dims} does not match state of dim {n}")
     keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= len(dims) for k in keep):
         raise ValueError("keep indices outside layout")
     drop = [i for i in range(len(dims)) if i not in keep]
-    t = arr.reshape(dims)
-    perm = keep + drop
+    t = flat.reshape(lead + dims)
+    perm = list(range(len(lead))) + [len(lead) + i for i in keep + drop]
     t = np.transpose(t, perm)
     dk = int(np.prod([dims[i] for i in keep])) if keep else 1
-    dd = arr.size // dk
-    m = t.reshape(dk, dd)
-    return m @ m.conj().T
+    m = t.reshape(lead + (dk, n // dk))
+    return m @ m.conj().swapaxes(-1, -2)
 
 
 def entanglement_entropy(rho) -> float:

@@ -52,10 +52,13 @@ def singlet() -> np.ndarray:
 
 def _eigenbases(theta) -> np.ndarray:
     """Eigenbasis matrices, columns (up, down), of every angle in
-    ``theta``: shape theta.shape + (2, 2)."""
+    ``theta``: shape theta.shape + (2, 2), one array from one list of
+    the entries [[c, -s], [s, c]] that ``spin_eigenstates`` takes."""
     angles = np.asarray(theta, dtype=float)
-    bases = [np.column_stack(spin_eigenstates(t)) for t in angles.reshape(-1)]
-    return np.array(bases).reshape(angles.shape + (2, 2))
+    halves = [wrap_angle(t) / 2.0 for t in angles.reshape(-1).tolist()]
+    cos_sin = [(math.cos(h), math.sin(h)) for h in halves]
+    entries = [(c, -s, s, c) for c, s in cos_sin]
+    return np.array(entries, dtype=complex).reshape(angles.shape + (2, 2))
 
 
 def joint_value_probabilities(a, b) -> np.ndarray:

@@ -9,7 +9,9 @@ formatted whole with every trial number a ``%d``; the batch samplers
 are the earlier out-of-place stream with whole-row gather-and-compare
 and ``searchsorted`` picks; the exit bases and the
 splitter are written entry by entry; a projector family is checked
-member by member.
+member by member; the exact stage walks project one branch state per
+``qcore.projections`` call, depth first, where the package stacks
+every branch of a stage into one call.
 Expected values frozen into the tests were computed with these routines.
 """
 
@@ -20,7 +22,8 @@ import math
 
 import numpy as np
 
-from toolate.protocol import degrees_of
+from toolate import qcore
+from toolate.protocol import degrees_of, exit_labels
 from toolate.qcore import InvalidPartition
 from toolate.rng import GOLDEN, mix64, trial_seed
 
@@ -207,6 +210,67 @@ def validate_partition_reference(partition, dim: int) -> list[np.ndarray]:
             if np.max(np.abs(ops[i] @ ops[j])) > atol:
                 raise InvalidPartition("partition elements are not orthogonal")
     return ops
+
+
+# --- the projection walks, one state at a time -------------------------------------
+
+
+def composed_distribution_by_branch(state, order) -> np.ndarray:
+    """``protocol.composed_distribution`` as a depth-first walk: one
+    ``qcore.projections`` call per branch state, and each child branch
+    collapsed on its own.  Each (exit_A, exit_B) leaf is reached by
+    exactly one branch, so the visiting order is immaterial."""
+    labels = exit_labels(state.trine)
+    values, exits = state.trine.families
+    table = np.zeros((6, 6))
+    pending = [(0, state.vec, 1.0, {})]
+    while pending:
+        stage, vec, weight, outcome = pending.pop()
+        tag = order[stage]
+        family = exits if tag[0] == "o" else values
+        probs, rows = qcore.projections(family.stack, vec, "AB".index(tag[1]))
+        for name, prob in enumerate(probs):
+            if prob <= qcore.ZERO_PROB:
+                continue
+            if tag[0] == "o" and labels[name].value != outcome["v" + tag[1]]:
+                raise AssertionError("nonzero weight on a value-inconsistent exit")
+            reached = {**outcome, tag: name}
+            if stage + 1 == len(order):
+                table[reached["oA"], reached["oB"]] += weight * prob
+            else:
+                pending.append((stage + 1, rows[name] / np.sqrt(prob), weight * prob, reached))
+    return table
+
+
+def stage_conditionals_by_branch(trine):
+    """``protocol.stage_conditionals`` with one ``qcore.projections``
+    call per orientation-stage state: A's for each value pair, B's for
+    each of A's exit collapses."""
+    values, exits = trine.families
+    p_value_a = np.zeros(2)
+    p_value_b = np.zeros((2, 2))
+    p_orient_a = np.zeros((2, 2, 3))
+    p_orient_b = np.zeros((2, 2, 3, 3))
+    for va in range(2):
+        prob_a, state_a = qcore.project(values[va], trine.pair, 0)
+        p_value_a[va] = prob_a
+        for vb in range(2):
+            try:
+                prob_b, state_b = qcore.project(values[vb], state_a, 1)
+            except qcore.ZeroProbability:
+                continue
+            if prob_a * prob_b <= qcore.ZERO_PROB:
+                continue
+            p_value_b[va, vb] = prob_b
+            probs_a, rows_a = qcore.projections(exits.stack[va::2], state_b, 0)
+            p_orient_a[va, vb] = qcore.snap(probs_a)
+            for ra in range(3):
+                if p_orient_a[va, vb, ra] > 0.0:
+                    state_ra = rows_a[ra] / np.sqrt(probs_a[ra])
+                    probs_b, _ = qcore.projections(exits.stack[vb::2], state_ra, 1)
+                    p_orient_b[va, vb, ra] = qcore.snap(probs_b)
+        p_value_b[va] = qcore.snap(p_value_b[va])
+    return qcore.snap(p_value_a), p_value_b, p_orient_a, p_orient_b
 
 
 # --- the outcome stream ---------------------------------------------------------

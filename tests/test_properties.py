@@ -12,7 +12,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import random_state
-from oracles import records_text_one_format
+from oracles import (
+    composed_distribution_by_branch,
+    records_text_one_format,
+    stage_conditionals_by_branch,
+)
 from toolate import _kernels, qcore
 from toolate.audit import oracle_conditional_state
 from toolate.cli import main
@@ -27,10 +31,14 @@ from toolate.experiments import (
     sample_protocol,
 )
 from toolate.protocol import (
+    JOINT_DIM,
+    JOINT_LAYOUT,
     PARTICLE_A,
     PARTICLE_B,
     STAGE_ORDERS,
+    JointState,
     Trine,
+    composed_distribution,
     exit_labels,
     exit_projector,
     run_trial,
@@ -152,6 +160,89 @@ def test_accepted_trines_build_families_that_pass_the_projector_check(angles):
             for vb in SpinValue:
                 if tables.p_value_b[va, vb] > qcore.ZERO_PROB:
                     oracle_conditional_state(va, vb, trine)
+
+
+def accepted_trines(angles) -> list[Trine]:
+    """The trine of ``angles`` under each port binding, or no trine if a
+    config refuses the angles."""
+    try:
+        return [ExperimentConfig("toolate", angles=angles, port_binding=binding).trine()
+                for binding in BINDINGS]
+    except ValueError:
+        return []
+
+
+# the stage-at-a-time walks against the depth-first walks that make one
+# qcore.projections call per branch state, on random and close trines
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(angles=trine_degrees)
+@example(angles=(0.0, 120.0, 240.0))
+@example(angles=(10.0, 10.0001, 10.0002))
+@example(angles=(0.0, 1e-9, 240.0))
+def test_stage_walks_match_the_depth_first_walks_bit_for_bit(angles):
+    trines = accepted_trines(angles)
+    assume(trines)
+    for trine in trines:
+        state = JointState(trine.pair, trine)
+        for order in STAGE_ORDERS:
+            want = composed_distribution_by_branch(state, order)
+            assert composed_distribution(state, order).tobytes() == want.tobytes(), (angles, order)
+        tables = stage_conditionals(trine)
+        got = (tables.p_value_a, tables.p_value_b, tables.p_orient_a, tables.p_orient_b)
+        want = stage_conditionals_by_branch(trine)
+        assert [t.tobytes() for t in got] == [t.tobytes() for t in want], angles
+
+
+# a stack of states against one call per state, on every state the
+# walks reach, each family whole and by value, on either factor
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(angles=st.tuples(degrees, degrees, degrees), binding=st.sampled_from(BINDINGS))
+@example(angles=(10.0, 10.0001, 10.0002), binding=(0, 1, 2))
+def test_stacked_projections_match_one_call_per_state(angles, binding):
+    assume(smallest_gap(angles) > 0.0)
+    trine = Trine.from_degrees(angles).permuted(binding)
+    states = np.array(collapsed_states(trine))
+    for family in trine.families:
+        for stack in (family.stack, family.stack[0::2], family.stack[1::2]):
+            for factor, count in itertools.product((PARTICLE_A, PARTICLE_B), (0, 1, len(states))):
+                weights, rows = qcore.projections(stack, states[:count], factor)
+                assert weights.shape == (count, len(stack))
+                assert rows.shape == (count, len(stack), JOINT_DIM)
+                for state, got_weights, got_rows in zip(states[:count], weights, rows):
+                    want_weights, want_rows = qcore.projections(stack, state, factor)
+                    assert got_weights.tobytes() == want_weights.tobytes(), (angles, factor)
+                    assert got_rows.tobytes() == want_rows.tobytes(), (angles, factor)
+
+
+def test_an_empty_stack_of_states_gives_empty_arrays(trine):
+    for family, factor in itertools.product(trine.families, (PARTICLE_A, PARTICLE_B)):
+        weights, rows = qcore.projections(family.stack, np.empty((0, JOINT_DIM)), factor)
+        assert weights.shape == (0, len(family)) and rows.shape == (0, len(family), JOINT_DIM)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_stack_is_refused_for_one_non_finite_amplitude(trine, bad):
+    values, _ = trine.families
+    states = np.array([trine.pair] * 3)
+    states[2, 35] = complex(0.0, bad)
+    with pytest.raises(ValueError, match="non-finite amplitudes"):
+        qcore.projections(values.stack, states)
+    with pytest.raises(ValueError, match="non-finite amplitudes"):
+        qcore.reduced_density(states, JOINT_LAYOUT, (0,))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(angles=st.tuples(degrees, degrees, degrees), binding=st.sampled_from(BINDINGS))
+def test_stacked_reduced_density_matches_one_call_per_state(angles, binding):
+    assume(smallest_gap(angles) > 0.0)
+    trine = Trine.from_degrees(angles).permuted(binding)
+    states = np.array(collapsed_states(trine))
+    for keep in ((0,), (1, 3), (0, 1), (2,), (3,), ()):
+        want = [qcore.reduced_density(state, JOINT_LAYOUT, keep) for state in states]
+        for stack in (states, states[None]):
+            got = qcore.reduced_density(stack, JOINT_LAYOUT, keep)
+            assert got.shape == stack.shape[:-1] + want[0].shape
+            assert got.tobytes() == np.array(want).reshape(got.shape).tobytes(), (angles, keep)
 
 
 # weights with zeros and subnormals, a row sum off 1 by a few ulps, and

@@ -419,3 +419,35 @@ class TestStageConditionals:
                     total = tree.p_orient_b[va, vb, ra].sum()
                     if tree.p_orient_a[va, vb, ra] > 0:
                         assert abs(total - 1.0) < 1e-14
+
+
+class TestStageWalkCalls:
+    """The exact walks take one stacked product per stage, not one call
+    per branch state."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"projections": 0, "project": 0}
+        for name in counts:
+            original = getattr(qcore, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(qcore, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("degrees", [(0, 120, 240), (0, 90, 200), (0, 0.0001, 0.0002)])
+    def test_composed_distribution_takes_four_products_per_order(self, calls, degrees):
+        trine = Trine.from_degrees(degrees)
+        state = JointState(trine.pair, trine)
+        for order in STAGE_ORDERS:
+            calls["projections"] = 0
+            composed_distribution(state, order)
+            assert calls == {"projections": 4, "project": 0}, order
+
+    @pytest.mark.parametrize("degrees", [(0, 120, 240), (0, 90, 200), (0, 0.0001, 0.0002)])
+    def test_stage_conditionals_takes_four_products_and_six_collapses(self, calls, degrees):
+        stage_conditionals(Trine.from_degrees(degrees))
+        assert calls == {"projections": 4, "project": 6}
