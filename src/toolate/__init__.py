@@ -8,8 +8,6 @@ reversal does to the correlations.
 from ._version import __version__
 from .audit import (
     VerificationReport,
-    literal_joint_state,
-    literal_pair_state,
     literal_value_state,
     oracle_conditional_state,
     oracle_value_state,

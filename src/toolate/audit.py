@@ -62,33 +62,11 @@ def _same_orientation_term(value: SpinValue, trine: Trine) -> np.ndarray:
     return (cols[:, None, :] * cols[None, :, :]).reshape(-1, 3).sum(axis=1)
 
 
-def literal_pair_state(trine: Trine) -> tuple[np.ndarray, float]:
-    """Up-up pair form: product of singles minus a third of the
-    same-orientation up-up terms, all under a 1/sqrt(6) prefactor.
-
-    The expression as written has norm 1/3.  Its normalized version has
-    zero amplitude on same-orientation exit pairs and magnitude
-    1/sqrt(6) on the six unequal-orientation pairs.
-    """
-    return _literal_pair([literal_value_state(v, trine) for v in SpinValue], trine)
-
-
 def _literal_pair(singles, trine: Trine) -> tuple[np.ndarray, float]:
     up, _ = singles[SpinValue.UP]
     return _normalized(
         (np.kron(up, up) - _same_orientation_term(SpinValue.UP, trine) / 3.0) / math.sqrt(6.0)
     )
-
-
-def literal_joint_state(trine: Trine) -> tuple[np.ndarray, float]:
-    """Full pair form: the four value-pair products minus a third of all
-    six same-orientation same-value terms, under a 1/sqrt(30) prefactor.
-
-    The expression as written has norm 1/3.  Normalized, it is a
-    uniform-magnitude superposition of the 30 exit pairs that are not
-    same-orientation same-value.
-    """
-    return _literal_joint([literal_value_state(v, trine) for v in SpinValue], trine)
 
 
 def _literal_joint(singles, trine: Trine) -> tuple[np.ndarray, float]:

@@ -14,13 +14,14 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field, fields
-from typing import Any, BinaryIO
+from typing import Any, BinaryIO, NamedTuple
 
 import numpy as np
 
 from . import _kernels, qcore
 from ._version import __version__
 from .audit import (
+    VerificationReport,
     literal_value_state,
     oracle_conditional_state,
     verify_states,
@@ -504,14 +505,8 @@ def run_lhv_compare(config: ExperimentConfig) -> dict[str, Any]:
 
 # --- verification ---------------------------------------------------------------
 
-
-def _check(checks: list, name: str, ok: bool, detail: str) -> None:
-    checks.append({"name": name, "pass": bool(ok), "detail": detail})
-
-
-# checks of closed forms (1/4, 1/6, 4/9) that hold only when the orientations are 120 degrees apart
-_CLOSED_FORMS_120 = ("value_pairs_quarter", "conditional_orientation_anticorrelation",
-                     "recombination_ports", "interference_discrimination")
+# a check gates on every trine, or only where the closed forms 1/4, 1/6, 4/9 hold
+_EVERY_TRINE, _ONLY_120 = "every trine", "120-degree trines only"
 
 
 def _is_120_trine(trine: Trine) -> bool:
@@ -521,133 +516,160 @@ def _is_120_trine(trine: Trine) -> bool:
     return all(abs(gap - 2.0 * math.pi / 3.0) <= 1e-12 for gap in gaps)
 
 
-def run_verify(config: ExperimentConfig) -> tuple[dict[str, Any], bool]:
-    """Analytic invariant sweep plus the state audit.
+class _VerifyRun(NamedTuple):
+    """What the verify checks read; the inputs that several share are built once."""
 
-    Gates only on invariants a correct build can satisfy for the given
-    trine; quantities the audit merely reports (the pair and joint
-    overlaps, and the 120-degree closed forms on any other trine) are
-    included in the payload but do not affect the verdict.
-    """
-    trine = config.trine()
-    report = verify_states(trine)
-    checks: list[dict[str, Any]] = []
+    config: ExperimentConfig
+    trine: Trine
+    report: VerificationReport
+    eq: dict[str, dict[str, Any]]  # the audit's equation rows by name
+    tables: tuple  # (p_values, cond, marg_a, marg_b) at the trine's own binding
+    start: JointState  # the prepared pair
+    ports: np.ndarray  # the value-fixed up state through the recombiner
 
-    eq = {row["name"]: row for row in report.equations}
-    _check(
-        checks, "literal_norms",
-        abs(eq["single_value_up"]["literal_norm"] - 1.0) <= 1e-12
-        and abs(eq["pair_up_up"]["literal_norm"] - 1.0 / 3.0) <= 1e-12
-        and abs(eq["joint_all_values"]["literal_norm"] - 1.0 / 3.0) <= 1e-12,
-        "written prefactors give norms (1, 1/3, 1/3)",
-    )
-    _check(
-        checks, "single_value_fidelity",
-        abs(eq["single_value_up"]["fidelity_vs_oracle"] - 1.0) <= 1e-12,
-        "normalized single-value form matches the exit-basis construction",
-    )
-    _check(checks, "zero_amplitudes", report.all_zero_checks_pass(),
-           "same-orientation same-value amplitudes vanish at 1e-14")
 
-    p_values, cond, marg_a, marg_b = _exact_protocol_tables(stage_conditionals(trine))
-    _check(checks, "value_pairs_quarter",
-           bool(np.max(np.abs(p_values - 0.25)) <= 1e-12),
-           "all four value pairs have probability 1/4")
-    diag_ok = True
-    off_ok = True
+def _literal_norms(run: _VerifyRun):
+    eq = run.eq
+    return (abs(eq["single_value_up"]["literal_norm"] - 1.0) <= 1e-12
+            and abs(eq["pair_up_up"]["literal_norm"] - 1.0 / 3.0) <= 1e-12
+            and abs(eq["joint_all_values"]["literal_norm"] - 1.0 / 3.0) <= 1e-12,
+            "written prefactors give norms (1, 1/3, 1/3)")
+
+
+def _single_value_fidelity(run: _VerifyRun):
+    return (abs(run.eq["single_value_up"]["fidelity_vs_oracle"] - 1.0) <= 1e-12,
+            "normalized single-value form matches the exit-basis construction")
+
+
+def _zero_amplitudes(run: _VerifyRun):
+    return (run.report.all_zero_checks_pass(),
+            "same-orientation same-value amplitudes vanish at 1e-14")
+
+
+def _value_pairs_quarter(run: _VerifyRun):
+    return (np.max(np.abs(run.tables[0] - 0.25)) <= 1e-12,
+            "all four value pairs have probability 1/4")
+
+
+def _conditional_orientation_anticorrelation(run: _VerifyRun):
+    ok = True
     for vv in (SpinValue.UP, SpinValue.DOWN):
-        c = cond[vv, vv]
-        diag_ok &= float(np.max(np.abs(np.diag(c)))) <= 1e-14
-        off = c[~np.eye(3, dtype=bool)]
-        off_ok &= float(np.max(np.abs(off - 1.0 / 6.0))) <= 1e-12
-    _check(checks, "conditional_orientation_anticorrelation", diag_ok and off_ok,
-           "same-orientation probability 0 and unequal pairs 1/6 given equal values")
-    _check(checks, "orientation_marginals",
-           bool(np.max(np.abs(marg_a - 1.0 / 3.0)) <= 1e-12
-                and np.max(np.abs(marg_b - 1.0 / 3.0)) <= 1e-12),
-           "each orientation is seen with probability 1/3")
+        c = run.tables[1][vv, vv]
+        ok &= float(np.max(np.abs(np.diag(c)))) <= 1e-14
+        ok &= float(np.max(np.abs(c[~np.eye(3, dtype=bool)] - 1.0 / 6.0))) <= 1e-12
+    return ok, "same-orientation probability 0 and unequal pairs 1/6 given equal values"
 
-    start = JointState(trine.pair, trine)
-    one_shot = joint_distribution(start)
+
+def _orientation_marginals(run: _VerifyRun):
+    _, _, marg_a, marg_b = run.tables
+    return (np.max(np.abs(marg_a - 1.0 / 3.0)) <= 1e-12
+            and np.max(np.abs(marg_b - 1.0 / 3.0)) <= 1e-12,
+            "each orientation is seen with probability 1/3")
+
+
+def _ordering_invariance(run: _VerifyRun):
+    one_shot = joint_distribution(run.start)
     worst = max(
-        float(np.max(np.abs(composed_distribution(start, order) - one_shot)))
+        float(np.max(np.abs(composed_distribution(run.start, order) - one_shot)))
         for order in STAGE_ORDERS
     )
-    _check(checks, "ordering_invariance", worst <= 1e-12,
-           f"six stage interleavings agree entrywise (worst {worst:.2e})")
+    return worst <= 1e-12, f"six stage interleavings agree entrywise (worst {worst:.2e})"
 
-    state_up, _ = literal_value_state(SpinValue.UP, trine)
-    ports = recombine(state_up)
-    expected_ports = np.array([4.0 / 9.0, 5.0 / 18.0, 5.0 / 18.0])
-    _check(checks, "recombination_ports",
-           bool(np.max(np.abs(ports - expected_ports)) <= 1e-12),
-           "value-fixed state recombines to (4/9, 5/18, 5/18)")
-    _, uniform_ports = conspiracy_predictions(ConspiracyModel.uniform(), trine)
-    tv, passed = interference_discriminator(ports, uniform_ports, config.threshold)
-    _check(checks, "interference_discrimination",
-           abs(tv - 1.0 / 9.0) <= 1e-12
-           and passed
-           and bool(np.max(np.abs(uniform_ports - 1.0 / 3.0)) <= 1e-12),
-           "source models predict equal thirds; tv = 1/9 exceeds the threshold")
 
-    res0 = erase_paths(start)
-    erase_ok = (
-        abs(res0.success_prob - 1.0) <= 1e-10
-        and abs(res0.fidelity_to_singlet - 1.0) <= 1e-10
-    )
+def _recombination_ports(run: _VerifyRun):
+    return (np.max(np.abs(run.ports - np.array([4.0 / 9.0, 5.0 / 18.0, 5.0 / 18.0]))) <= 1e-12,
+            "value-fixed state recombines to (4/9, 5/18, 5/18)")
+
+
+def _interference_discrimination(run: _VerifyRun):
+    _, uniform_ports = conspiracy_predictions(ConspiracyModel.uniform(), run.trine)
+    tv, passed = interference_discriminator(run.ports, uniform_ports, run.config.threshold)
+    return (abs(tv - 1.0 / 9.0) <= 1e-12
+            and passed
+            and np.max(np.abs(uniform_ports - 1.0 / 3.0)) <= 1e-12,
+            "source models predict equal thirds; tv = 1/9 exceeds the threshold")
+
+
+def _erasure_swap(run: _VerifyRun):
+    res = erase_paths(run.start)
+    ok = abs(res.success_prob - 1.0) <= 1e-10 and abs(res.fidelity_to_singlet - 1.0) <= 1e-10
     for vv in (SpinValue.UP, SpinValue.DOWN):
-        state, _ = oracle_conditional_state(vv, vv, trine)
-        res = erase_paths(state)
-        erase_ok &= abs(res.fidelity_to_singlet - 1.0) <= 1e-10
-        erase_ok &= abs(res.entanglement_bits - 1.0) <= 1e-10
-    contrast = definite_path_contrast(trine)
-    erase_ok &= abs(contrast["values"]["entanglement_bits"]) <= 1e-10
-    _check(checks, "erasure_swap", bool(erase_ok),
-           "path erasure restores a unit-fidelity, 1-bit entangled spin pair; "
-           "definite-path mixtures stay separable")
+        res = erase_paths(oracle_conditional_state(vv, vv, run.trine)[0])
+        ok &= abs(res.fidelity_to_singlet - 1.0) <= 1e-10
+        ok &= abs(res.entanglement_bits - 1.0) <= 1e-10
+    ok &= abs(definite_path_contrast(run.trine)["values"]["entanglement_bits"]) <= 1e-10
+    return ok, ("path erasure restores a unit-fidelity, 1-bit entangled spin pair; "
+                "definite-path mixtures stay separable")
 
+
+def _bell_quantities(run: _VerifyRun):
     s = chsh_value(*(math.radians(d) for d in _CHSH_DEFAULT_DEG))
     lhv_max, _ = enumerate_chsh_max()
     grid = np.radians(np.arange(0.0, 360.0, 15.0))
     a, b = grid[:, None], grid[None, :]
     corr_err = float(np.max(np.abs(correlations(a, b) + np.cos(a - b))))
-    _check(checks, "bell_quantities",
-           abs(abs(s) - 2.0 * math.sqrt(2.0)) <= 1e-9
-           and lhv_max == 2.0
-           and corr_err <= 1e-12,
-           "correlations match -cos closed form; |S| = 2*sqrt 2 against the exact "
-           "local bound of 2")
+    return (abs(abs(s) - 2.0 * math.sqrt(2.0)) <= 1e-9 and lhv_max == 2.0 and corr_err <= 1e-12,
+            "correlations match -cos closed form; |S| = 2*sqrt 2 against the exact "
+            "local bound of 2")
 
+
+def _port_binding_invariance(run: _VerifyRun):
     # the identity binding is the trine itself, whose tables are in hand
-    perms = ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-    perm_err = 0.0
-    for perm in perms:
-        other = trine.permuted(perm)
-        pv2, cond2, ma2, mb2 = _exact_protocol_tables(stage_conditionals(other))
-        perm_err = max(
-            perm_err,
-            float(np.max(np.abs(pv2 - p_values))),
-            float(np.max(np.abs(cond2 - cond))),
-            float(np.max(np.abs(ma2 - marg_a))),
-            float(np.max(np.abs(mb2 - marg_b))),
-            float(np.max(np.abs(recombine(literal_value_state(SpinValue.UP, other)[0]) - ports))),
-        )
-    _check(checks, "port_binding_invariance", perm_err <= 1e-12,
-           f"statistics unchanged under all port re-bindings (worst {perm_err:.2e})")
+    worst = 0.0
+    for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
+        other = run.trine.permuted(perm)
+        tables = _exact_protocol_tables(stage_conditionals(other))
+        ports = recombine(literal_value_state(SpinValue.UP, other)[0])
+        worst = max(worst, *(float(np.max(np.abs(new - old)))
+                             for new, old in zip((*tables, ports), (*run.tables, run.ports))))
+    return worst <= 1e-12, f"statistics unchanged under all port re-bindings (worst {worst:.2e})"
 
+
+# every verify check in payload order: (name, scope, check)
+_VERIFY_CHECKS = (
+    ("literal_norms", _EVERY_TRINE, _literal_norms),
+    ("single_value_fidelity", _EVERY_TRINE, _single_value_fidelity),
+    ("zero_amplitudes", _EVERY_TRINE, _zero_amplitudes),
+    ("value_pairs_quarter", _ONLY_120, _value_pairs_quarter),
+    ("conditional_orientation_anticorrelation", _ONLY_120, _conditional_orientation_anticorrelation),
+    ("orientation_marginals", _EVERY_TRINE, _orientation_marginals),
+    ("ordering_invariance", _EVERY_TRINE, _ordering_invariance),
+    ("recombination_ports", _ONLY_120, _recombination_ports),
+    ("interference_discrimination", _ONLY_120, _interference_discrimination),
+    ("erasure_swap", _EVERY_TRINE, _erasure_swap),
+    ("bell_quantities", _EVERY_TRINE, _bell_quantities),
+    ("port_binding_invariance", _EVERY_TRINE, _port_binding_invariance),
+)
+
+
+def run_verify(config: ExperimentConfig) -> tuple[dict[str, Any], bool]:
+    """Analytic invariant sweep plus the state audit.
+
+    Each check in ``_VERIFY_CHECKS`` declares its scope beside it: a
+    check scoped to 120-degree trines gates only there and is listed
+    under ``reported_only["checks"]`` on any other trine.  The verdict
+    is whether every gating check passes; the pair and joint overlaps
+    are reported and never gate.
+    """
+    trine = config.trine()
+    report = verify_states(trine)
+    eq = {row["name"]: row for row in report.equations}
+    run = _VerifyRun(config, trine, report, eq, _exact_protocol_tables(stage_conditionals(trine)),
+                     JointState(trine.pair, trine),
+                     recombine(literal_value_state(SpinValue.UP, trine)[0]))
+    on_120 = _is_120_trine(trine)
+    checks, reported = [], []
+    for name, scope, check in _VERIFY_CHECKS:
+        passed, detail = check(run)
+        row = {"name": name, "pass": bool(passed), "detail": detail}
+        (checks if on_120 or scope == _EVERY_TRINE else reported).append(row)
     reported_only = {
         "pair_up_up_fidelity_vs_oracle": eq["pair_up_up"]["fidelity_vs_oracle"],
         "joint_fidelity_vs_oracle": eq["joint_all_values"]["fidelity_vs_oracle"],
     }
-    if not _is_120_trine(trine):
-        reported_only["checks"] = [c for c in checks if c["name"] in _CLOSED_FORMS_120]
-        checks = [c for c in checks if c["name"] not in _CLOSED_FORMS_120]
-    payload = {
-        "meta": metadata(config),
-        "audit": report.to_dict(),
-        "checks": checks,
-        "reported_only": reported_only,
-    }
+    if not on_120:
+        reported_only["checks"] = reported
     ok = all(c["pass"] for c in checks)
-    payload["ok"] = ok
+    payload = {"meta": metadata(config), "audit": report.to_dict(), "checks": checks,
+               "reported_only": reported_only, "ok": ok}
     return payload, ok

@@ -24,8 +24,8 @@ import numpy as np
 from oracles import independent_exit_table
 from toolate import qcore
 from toolate.audit import (
-    literal_joint_state,
-    literal_pair_state,
+    _literal_joint,
+    _literal_pair,
     literal_value_state,
     oracle_conditional_state,
     verify_states,
@@ -151,6 +151,16 @@ def test_criterion_05_ordering_invariance():
     conclude(5, "joint table invariant across all stage interleavings", failures)
 
 
+def literal_pair(trine):
+    """The up-up pair form, built from the two literal single-value states."""
+    return _literal_pair([literal_value_state(v, trine) for v in SpinValue], trine)
+
+
+def literal_joint(trine):
+    """The full pair form, built from the two literal single-value states."""
+    return _literal_joint([literal_value_state(v, trine) for v in SpinValue], trine)
+
+
 def exchange(vec: np.ndarray) -> np.ndarray:
     """Swap the two particles of a 36-dim pair state ordered A (x) B."""
     return vec.reshape(6, 6).T.reshape(36)
@@ -159,8 +169,8 @@ def exchange(vec: np.ndarray) -> np.ndarray:
 def test_criterion_06_equation_audits():
     failures = []
     _, norm_single = literal_value_state(SpinValue.UP, TRINE)
-    pair, norm_pair = literal_pair_state(TRINE)
-    joint, norm_joint = literal_joint_state(TRINE)
+    pair, norm_pair = literal_pair(TRINE)
+    joint, norm_joint = literal_joint(TRINE)
     if abs(norm_single - 1.0) > 1e-12:
         failures.append(f"single-value literal norm {norm_single!r} not 1")
     if abs(norm_pair - 1 / 3) > 1e-12:
@@ -171,7 +181,7 @@ def test_criterion_06_equation_audits():
     for degrees in ((0, 120, 240), (0, 100, 230), (10, 95, 300)):
         trine = Trine.from_degrees(degrees)
         where = ",".join(map(str, degrees))
-        pair_t, _ = literal_pair_state(trine)
+        pair_t, _ = literal_pair(trine)
         oracle_t, _ = oracle_conditional_state(SpinValue.UP, SpinValue.UP, trine)
         even_gap = float(np.max(np.abs(exchange(pair_t) - pair_t)))
         odd_gap = float(np.max(np.abs(exchange(oracle_t.vec) + oracle_t.vec)))

@@ -8,8 +8,8 @@ from oracles import independent_joint_exit_basis
 from toolate import qcore
 from toolate.audit import (
     _same_orientation_term,
-    literal_joint_state,
-    literal_pair_state,
+    _literal_joint,
+    _literal_pair,
     literal_value_state,
     oracle_conditional_state,
     oracle_value_state,
@@ -24,6 +24,16 @@ from toolate.protocol import (
     uniform_paths,
 )
 from toolate.spinlab import SpinValue
+
+
+def literal_pair(trine):
+    """The up-up pair form, built from the two literal single-value states."""
+    return _literal_pair([literal_value_state(v, trine) for v in SpinValue], trine)
+
+
+def literal_joint(trine):
+    """The full pair form, built from the two literal single-value states."""
+    return _literal_joint([literal_value_state(v, trine) for v in SpinValue], trine)
 
 
 class TestLiteralForms:
@@ -45,11 +55,11 @@ class TestLiteralForms:
             assert abs(amp - 1 / math.sqrt(3)) < 1e-12
 
     def test_pair_norm_is_one_third(self, trine):
-        _, literal_norm = literal_pair_state(trine)
+        _, literal_norm = literal_pair(trine)
         assert abs(literal_norm - 1 / 3) < 1e-12
 
     def test_pair_normalized_structure(self, trine):
-        state, _ = literal_pair_state(trine)
+        state, _ = literal_pair(trine)
         for ia, ta in enumerate(trine.orientations):
             for ib, tb in enumerate(trine.orientations):
                 vec = np.kron(
@@ -63,11 +73,11 @@ class TestLiteralForms:
                     assert abs(abs(amp) - 1 / math.sqrt(6)) < 1e-12
 
     def test_joint_norm_is_one_third(self, trine):
-        _, literal_norm = literal_joint_state(trine)
+        _, literal_norm = literal_joint(trine)
         assert abs(literal_norm - 1 / 3) < 1e-12
 
     def test_joint_normalized_structure(self, trine):
-        state, _ = literal_joint_state(trine)
+        state, _ = literal_joint(trine)
         mags = []
         zeros = []
         for ia, ta in enumerate(trine.orientations):
@@ -122,7 +132,7 @@ class TestOracleStates:
         assert same > diff
 
     def test_pair_overlap_vanishes_despite_matching_magnitudes(self, trine):
-        literal, _ = literal_pair_state(trine)
+        literal, _ = literal_pair(trine)
         oracle, _ = oracle_conditional_state(SpinValue.UP, SpinValue.UP, trine)
         # the derived state is odd under particle exchange; the literal is even
         assert qcore.fidelity(literal, oracle.vec) < 1e-12
@@ -131,7 +141,7 @@ class TestOracleStates:
         np.testing.assert_allclose(lit_mags, ora_mags, atol=1e-12)
 
     def test_joint_overlap_with_pre_value_state_vanishes(self, trine):
-        literal, _ = literal_joint_state(trine)
+        literal, _ = literal_joint(trine)
         assert qcore.fidelity(literal, prepare_joint(trine).vec) < 1e-12
 
     def test_single_vs_z_prepared_conditional(self, trine):

@@ -186,6 +186,29 @@ def test_verify_failure_maps_to_exit_two(tmp_path, monkeypatch):
     assert main(["verify", "--out", str(tmp_path / "r.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "scope, angles, gates",
+    [
+        ("_EVERY_TRINE", "0,120,240", True),
+        ("_EVERY_TRINE", "0,90,200", True),
+        ("_ONLY_120", "0,120,240", True),
+        ("_ONLY_120", "0,90,200", False),
+    ],
+)
+def test_verdict_follows_each_check_scope(capsys, monkeypatch, scope, angles, gates):
+    # one failing check in place of the table: it decides the verdict only where it gates
+    import toolate.experiments as experiments
+
+    stub = ("stub", getattr(experiments, scope), lambda run: (False, "always fails"))
+    monkeypatch.setattr(experiments, "_VERIFY_CHECKS", (stub,))
+    code = main(["verify", f"--angles={angles}"])
+    payload = json.loads(capsys.readouterr().out)
+    row = {"name": "stub", "pass": False, "detail": "always fails"}
+    assert code == (2 if gates else 0) and payload["ok"] is not gates
+    assert payload["checks"] == ([row] if gates else [])
+    assert payload["reported_only"].get("checks", []) == ([] if gates else [row])
+
+
 def test_stdout_mode(capsys):
     assert main(["epr", "--trials", "0"]) == 0
     out = capsys.readouterr().out
