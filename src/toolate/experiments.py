@@ -49,9 +49,10 @@ from .protocol import (
 )
 from .spinlab import (
     SpinValue,
+    chsh,
     chsh_value,
-    correlation_exact,
     correlations,
+    expectation,
     joint_value_probabilities,
 )
 
@@ -213,39 +214,35 @@ def run_epr(config: ExperimentConfig) -> EstimateTable:
     """Exact singlet correlations and CHSH at four settings, plus Monte
     Carlo estimates when trials > 0.
 
+    One ``joint_value_probabilities`` table of the four setting pairs
+    gives the exact E column as its ``expectation`` and is the table the
+    sampler draws; an estimate is its count row's expectation over n.
     stderr for a correlation uses the plug-in form sqrt((1 - E^2)/n).
     """
     if config.protocol != "epr_standard":
         raise ValueError("run_epr needs protocol epr_standard")
     a, a2, b, b2 = config.chsh_angles()
-    pairs = [
-        (f"E({degree_text(a)},{degree_text(b)})", a, b),
-        (f"E({degree_text(a)},{degree_text(b2)})", a, b2),
-        (f"E({degree_text(a2)},{degree_text(b)})", a2, b),
-        (f"E({degree_text(a2)},{degree_text(b2)})", a2, b2),
-    ]
-    table = EstimateTable()
-    exact = [correlation_exact(x, y) for _, x, y in pairs]
-    s_exact = chsh_value(a, a2, b, b2)
+    settings = [(a, b), (a, b2), (a2, b), (a2, b2)]
+    probs = joint_value_probabilities(*zip(*settings))  # (4, 4): uu, ud, du, dd
+    exact = expectation(probs).tolist()
 
-    estimates = [None] * 4
-    errors = [None] * 4
+    estimates = errors = [None] * 4
     s_est = s_err = None
     n = config.trials
     if n > 0:
         # rounding dust on an impossible pair (equal settings give ~1e-32
         # on uu and dd) is snapped to 0, so it is never drawn
-        probs = qcore.snap([joint_value_probabilities(x, y) for _, x, y in pairs])
-        cum = _kernels.cumulative(probs)
+        cum = _kernels.cumulative(qcore.snap(probs))
         counts = _kernels.categorical_counts(cum, config.master_seed, n)
-        signs = np.array([1.0, -1.0, -1.0, 1.0])  # uu, ud, du, dd
-        estimates = [float(counts[i] @ signs) / n for i in range(4)]
+        estimates = (expectation(counts) / n).tolist()
         errors = [math.sqrt(max(0.0, 1.0 - e * e) / n) for e in estimates]
-        s_est = estimates[0] - estimates[1] + estimates[2] + estimates[3]
+        s_est = chsh(estimates)
         s_err = math.sqrt(sum(se * se for se in errors))
 
-    for (label, _, _), e, est, err in zip(pairs, exact, estimates, errors):
-        table.add(label, exact=e, estimate=est, stderr=err, n=n)
+    table = EstimateTable()
+    for (x, y), e, est, err in zip(settings, exact, estimates, errors):
+        table.add(f"E({degree_text(x)},{degree_text(y)})", exact=e, estimate=est, stderr=err, n=n)
+    s_exact = chsh(exact)
     table.add("chsh_S", exact=s_exact, estimate=s_est, stderr=s_err, n=n)
     table.add(
         "chsh_abs_S",

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import PATH_DIM, Trine, three_port_splitter
+from .spinlab import chsh
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,8 @@ class DeterministicStrategy:
                 raise ValueError("assignments must be +-1")
 
     def chsh(self) -> int:
-        return self.a * self.b - self.a * self.b2 + self.a2 * self.b + self.a2 * self.b2
+        """``spinlab.chsh`` of the four value products, each +-1."""
+        return chsh((self.a * self.b, self.a * self.b2, self.a2 * self.b, self.a2 * self.b2))
 
 
 def enumerate_chsh_max() -> tuple[float, DeterministicStrategy]:

@@ -37,11 +37,9 @@ def wrap_angle(theta: float) -> float:
 
 
 def spin_eigenstates(theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal (up, down) pair along orientation ``theta``."""
-    t = wrap_angle(theta)
-    c, s = math.cos(t / 2.0), math.sin(t / 2.0)
-    up = np.array([c, s], dtype=complex)
-    down = np.array([-s, c], dtype=complex)
+    """Orthonormal (up, down) pair along orientation ``theta``: the two
+    columns of its ``_eigenbases`` matrix."""
+    up, down = _eigenbases(theta).T.copy()
     return up, down
 
 
@@ -52,8 +50,8 @@ def singlet() -> np.ndarray:
 
 def _eigenbases(theta) -> np.ndarray:
     """Eigenbasis matrices, columns (up, down), of every angle in
-    ``theta``: shape theta.shape + (2, 2), one array from one list of
-    the entries [[c, -s], [s, c]] that ``spin_eigenstates`` takes."""
+    ``theta``: shape theta.shape + (2, 2), entries [[c, -s], [s, c]] of
+    half of each wrapped angle: the one cos and sin site in this module."""
     angles = np.asarray(theta, dtype=float)
     halves = [wrap_angle(t) / 2.0 for t in angles.reshape(-1).tolist()]
     cos_sin = [(math.cos(h), math.sin(h)) for h in halves]
@@ -77,20 +75,30 @@ def joint_value_probabilities(a, b) -> np.ndarray:
     return (np.abs(amps) ** 2).reshape(amps.shape[:-2] + (4,))
 
 
+def expectation(weights):
+    """Joint-value expectation of (uu, ud, du, dd) weights along the
+    last axis: sum of sign(va) sign(vb) w[va, vb], added in that order.
+    Integer counts give an exact integer sum."""
+    w = np.asarray(weights)
+    return sum(va.sign * vb.sign * w[..., 2 * va + vb] for va in SpinValue for vb in SpinValue)
+
+
+def chsh(e):
+    """Bell combination S = E(a,b) - E(a,b2) + E(a2,b) + E(a2,b2) of four
+    correlations ``e`` in that order.  Any local deterministic value
+    assignment keeps |S| <= 2; the singlet reaches |S| = 2*sqrt 2."""
+    return e[0] - e[1] + e[2] + e[3]
+
+
 def correlations(a, b) -> np.ndarray:
     """Joint-value expectation for the singlet at orientations a and b,
     which may be angle arrays broadcast together.
 
-    Enumerates the four joint outcomes by projecting the singlet onto
-    each eigenstate pair, then forms sum of (+-1)(+-1) P(s, s').  The
-    closed form is -cos(a - b); tests check the two routes agree.
+    The ``expectation`` of the four joint weights that projecting the
+    singlet onto each eigenstate pair gives.  The closed form is
+    -cos(a - b); tests check the two routes agree.
     """
-    probs = joint_value_probabilities(a, b)
-    expectation = 0.0
-    for va in SpinValue:
-        for vb in SpinValue:
-            expectation = expectation + va.sign * vb.sign * probs[..., 2 * va + vb]
-    return expectation
+    return expectation(joint_value_probabilities(a, b))
 
 
 def correlation_exact(a: float, b: float) -> float:
@@ -99,14 +107,6 @@ def correlation_exact(a: float, b: float) -> float:
 
 
 def chsh_value(a: float, a2: float, b: float, b2: float) -> float:
-    """Four-correlation Bell quantity for settings (a, a2) x (b, b2).
-
-    S = E(a,b) - E(a,b2) + E(a2,b) + E(a2,b2).  Any local deterministic
-    value assignment keeps |S| <= 2; the singlet reaches |S| = 2*sqrt 2.
-    """
-    return (
-        correlation_exact(a, b)
-        - correlation_exact(a, b2)
-        + correlation_exact(a2, b)
-        + correlation_exact(a2, b2)
-    )
+    """``chsh`` of the singlet correlations at settings (a, a2) x (b, b2),
+    all four from one ``correlations`` call."""
+    return float(chsh(correlations([a, a, a2, a2], [b, b2, b, b2])))

@@ -12,6 +12,11 @@ from pathlib import Path
 
 import pytest
 
+try:
+    import tomllib  # standard library from Python 3.11
+except ModuleNotFoundError:  # Python 3.10: the test extra installs tomli
+    import tomli as tomllib
+
 from conftest import child_env
 from oracles import records_text_reference
 from toolate import _kernels
@@ -32,7 +37,6 @@ def read_csv_rows(path: Path) -> dict:
 
 
 def test_console_script_is_the_main_the_tests_call():
-    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["toolate"]
     assert target == "toolate.cli:main"

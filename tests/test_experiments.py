@@ -20,7 +20,7 @@ from toolate.experiments import (
     run_verify,
     sample_protocol,
 )
-from toolate import _kernels, experiments
+from toolate import _kernels, experiments, spinlab
 from toolate._kernels import _Stream, trial_seeds
 from toolate.protocol import degrees_of
 from toolate.rng import trial_seed
@@ -123,6 +123,32 @@ class TestRunEpr:
         assert lines[1] == "label,exact,estimate,stderr,n"
         assert len(lines) == 2 + 6
         assert lines[2].endswith(",,,0")
+
+
+class TestRunEprCalls:
+    """``run_epr`` builds one value-pair table and reads both columns
+    from it: no per-pair correlation and no second CHSH route."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"joint_value_probabilities": 0, "correlation_exact": 0, "chsh_value": 0}
+        for name in counts:
+            original = getattr(spinlab, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            # every module that could bind the name, whether it does or not
+            for module in (spinlab, experiments):
+                monkeypatch.setattr(module, name, counted, raising=False)
+        return counts
+
+    @pytest.mark.parametrize("trials", [0, 1, 5000])
+    @pytest.mark.parametrize("degrees", [(0, 90, 45, 135), (30, 90, 390, 135)])
+    def test_one_table_per_run(self, calls, trials, degrees):
+        run_epr(ExperimentConfig(protocol="epr_standard", angles=degrees, trials=trials))
+        assert calls == {"joint_value_probabilities": 1, "correlation_exact": 0, "chsh_value": 0}
 
 
 class TestRunToolate:

@@ -21,6 +21,7 @@ from toolate import _kernels, qcore
 from toolate.audit import oracle_conditional_state
 from toolate.cli import main
 from toolate.experiments import (
+    EstimateTable,
     ExperimentConfig,
     _thousands,
     metadata,
@@ -39,6 +40,7 @@ from toolate.protocol import (
     JointState,
     Trine,
     composed_distribution,
+    degree_text,
     exit_labels,
     exit_projector,
     run_trial,
@@ -46,7 +48,7 @@ from toolate.protocol import (
     value_projectors,
 )
 from toolate.rng import TrialRng
-from toolate.spinlab import SpinValue
+from toolate.spinlab import SpinValue, chsh_value, correlation_exact, joint_value_probabilities
 
 BINDINGS = list(itertools.permutations(range(3)))
 TRIALS = 12
@@ -400,6 +402,69 @@ def test_epr_and_toolate_bytes_do_not_depend_on_the_chunk_size(chunk, chunks, of
     want = sampled_bytes(trials, seed)
     with chunk_size(chunk):
         assert sampled_bytes(trials, seed) == want
+
+
+def epr_by_pair(config: ExperimentConfig) -> EstimateTable:
+    """The epr table built one setting pair at a time: E from
+    ``correlation_exact``, S from ``chsh_value``, counts drawn from the
+    four per-pair weight rows, and each estimate the dot of its integer
+    counts with the value-pair signs, over n."""
+    a, a2, b, b2 = config.chsh_angles()
+    pairs = [(a, b), (a, b2), (a2, b), (a2, b2)]
+    labels = [f"E({degree_text(x)},{degree_text(y)})" for x, y in pairs]
+    exact = [correlation_exact(x, y) for x, y in pairs]
+    s_exact = chsh_value(a, a2, b, b2)
+    n = config.trials
+    estimates, errors, s_est, s_err = [None] * 4, [None] * 4, None, None
+    if n > 0:
+        probs = qcore.snap([joint_value_probabilities(x, y) for x, y in pairs])
+        counts = _kernels.categorical_counts(_kernels.cumulative(probs), config.master_seed, n)
+        signs = np.array([1.0, -1.0, -1.0, 1.0])  # uu, ud, du, dd
+        estimates = [float(counts[i] @ signs) / n for i in range(4)]
+        errors = [math.sqrt(max(0.0, 1.0 - e * e) / n) for e in estimates]
+        s_est = estimates[0] - estimates[1] + estimates[2] + estimates[3]
+        s_err = math.sqrt(sum(se * se for se in errors))
+    table = EstimateTable()
+    for label, e, est, err in zip(labels, exact, estimates, errors):
+        table.add(label, exact=e, estimate=est, stderr=err, n=n)
+    table.add("chsh_S", exact=s_exact, estimate=s_est, stderr=s_err, n=n)
+    table.add("chsh_abs_S", exact=abs(s_exact),
+              estimate=None if s_est is None else abs(s_est), stderr=s_err, n=n)
+    return table
+
+
+setting_degrees = st.one_of(
+    st.floats(-720.0, 720.0, allow_nan=False), st.integers(-720, 720).map(float)
+)
+
+
+@st.composite
+def epr_settings(draw):
+    """Four settings (a, a', b, b'), with b often a itself turned by
+    whole turns, so that one setting sits on both sides."""
+    a, a2, b, b2 = (draw(setting_degrees) for _ in range(4))
+    if draw(st.booleans()):
+        b = a + 360.0 * draw(st.integers(-2, 2))
+    return a, a2, b, b2
+
+
+# the one-table run against the table built pair by pair, bit for bit,
+# at trial counts around a chunk and at seeds 0, -7 and 2**64 - 1
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    angles=epr_settings(),
+    trials=st.sampled_from([0, 1, _kernels.CHUNK - 1, _kernels.CHUNK, _kernels.CHUNK + 1]),
+    seed=st.sampled_from([0, -7, 2**64 - 1]),
+)
+@example(angles=(30.0, 90.0, 390.0, 135.0), trials=10, seed=3)
+@example(angles=(0.0, 90.0, 0.0, 45.0), trials=_kernels.CHUNK + 1, seed=-7)
+def test_epr_rows_match_the_table_built_pair_by_pair(angles, trials, seed):
+    try:
+        config = ExperimentConfig("epr_standard", angles=angles, trials=trials, master_seed=seed)
+    except ValueError:
+        assume(False)
+    meta = metadata(config)
+    assert run_epr(config).to_csv_text(meta) == epr_by_pair(config).to_csv_text(meta), config
 
 
 # first trials at and around the thousands, the default chunk and each
